@@ -83,7 +83,7 @@ from .synth import (
     write_fleet,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",

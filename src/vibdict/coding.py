@@ -13,6 +13,15 @@ instance from the residual directly; OMP re-fits all selected amplitudes
 by least squares after every selection, which leaves the residual
 orthogonal to the selected shifted atoms.
 
+OMP solves that least-squares fit exactly but incrementally: it extends
+an inverse Cholesky factor of the Gram matrix by one row per pick, which
+costs O(k^2) at the k-th pick. When a pick makes the selection linearly
+dependent, the new pivot collapses to round-off; if it is not positive,
+the rest of the segment falls back to a ridge-damped solve of the full
+Gram system. OMP still costs more per pick than MP: every amplitude can
+change, so it rebuilds the residual and recomputes the correlations over
+the whole segment, where MP only touches the window around the pick.
+
 Only fully interior shifts are valid: an atom's support must lie entirely
 inside the segment, with no partial overlap at the edges.
 """
@@ -209,13 +218,31 @@ def mp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig)
     return SparseCode(tuple(instances), residual, dictionary.generation, exhausted)
 
 
-def _shifted_inner(w_a: np.ndarray, tau_a: int, w_b: np.ndarray, tau_b: int) -> float:
-    """Inner product of two atoms placed at absolute offsets in a segment."""
-    start = max(tau_a, tau_b)
-    end = min(tau_a + w_a.size, tau_b + w_b.size)
-    if end <= start:
-        return 0.0
-    return float(np.dot(w_a[start - tau_a : end - tau_a], w_b[start - tau_b : end - tau_b]))
+def _cross_table(waveforms) -> np.ndarray:
+    """Cross-correlations of every atom pair at every lag, zero-padded.
+
+    table[p, q, d + L_max - 1] is the inner product of atom p placed at
+    offset tau with atom q placed at offset tau + d, for |d| < L_max. The
+    last column stays zero and stands for every lag at which the two
+    supports do not overlap.
+    """
+    lmax = max(w.size for w in waveforms)
+    table = np.zeros((len(waveforms), len(waveforms), 2 * lmax))
+    for p, w_p in enumerate(waveforms):
+        for q, w_q in enumerate(waveforms):
+            start = lmax - w_q.size
+            table[p, q, start : start + w_p.size + w_q.size - 1] = np.correlate(
+                w_p, w_q, mode="full"
+            )
+    return table
+
+
+def _gram_lookup(table: np.ndarray, pos_a, tau_a, pos_b, tau_b) -> np.ndarray:
+    """Gram entries <phi_a(. - tau_a), phi_b(. - tau_b)>, broadcast over inputs."""
+    lmax = table.shape[2] // 2
+    lag = tau_b - tau_a
+    index = np.where(np.abs(lag) < lmax, lag + lmax - 1, 2 * lmax - 1)
+    return table[pos_a, pos_b, index]
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -244,61 +271,97 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
     """Orthogonal Matching Pursuit over the selected shifted-atom set.
 
     Selection works exactly as in MP, but after each pick all amplitudes
-    are re-fit by least squares over the selected shifted atoms (a Gram
-    system of size at most the instance budget), and the residual becomes
-    the projection remainder. A selected (atom, offset) pair is excluded
-    from later scans since re-picking it adds no new basis vector.
+    are re-fit by least squares over the selected shifted atoms, and the
+    residual becomes the projection remainder. A selected (atom, offset)
+    pair is excluded from later scans since re-picking it adds no new
+    basis vector.
+
+    The least-squares fit keeps the inverse Cholesky factor Linv of the
+    Gram matrix G = L L^T and z = Linv @ rhs, and grows both by one row
+    per pick, so each pick costs O(k^2) instead of a fresh O(k^3)
+    factorization. With v = Linv @ g for the new Gram row g and pivot
+    lambda^2 = G[k, k] - v.v, the new row of Linv is
+    [-(v @ Linv) / lambda, 1 / lambda], z[k] = (rhs[k] - v.z) / lambda,
+    and the amplitudes are z @ Linv. Gram rows are read from a table of
+    atom-pair cross-correlations, and the reconstruction is one weighted
+    bincount over the selected supports.
+
+    A pivot that is not positive and finite is taken to mean that the
+    selection has become linearly dependent, so G is singular from that
+    pick on; the rest of the segment is then solved from the full Gram
+    matrix with the ridge-damped :func:`_solve_gram`.
     """
     if cfg.algorithm != OMP:
         raise ValueError(f"omp_encode called with algorithm {cfg.algorithm!r}")
     _check_fits(segment, dictionary)
     x = segment.samples
     n = x.size
-    budget = instance_budget(n, cfg)
     scan = _scan_atoms(dictionary)
     waveforms = [atom.waveform for atom in dictionary.atoms]
+    table = _cross_table(waveforms)
+    lmax = table.shape[2] // 2
+    lanes = np.arange(lmax)
 
     signal_corr = {pos: np.correlate(x, w, mode="valid") for pos, w in enumerate(waveforms)}
     corr = {pos: c.copy() for pos, c in signal_corr.items()}
     masks = {pos: np.ones(c.size, dtype=bool) for pos, c in corr.items()}
+    budget = instance_budget(n, cfg)
+    # Each valid placement is picked at most once, so that count bounds
+    # the working arrays even when the budget is larger.
+    capacity = min(budget, sum(c.size for c in corr.values()))
 
-    selected: list[tuple[int, int]] = []
-    rhs: list[float] = []
-    gram = np.zeros((budget, budget))
+    sel_pos = np.zeros(capacity, dtype=np.intp)
+    sel_tau = np.zeros(capacity, dtype=np.intp)
+    # Sample index and zero-padded waveform of every selected placement;
+    # padding lanes point at the last sample and carry zero weight.
+    support = np.zeros((capacity, lmax), dtype=np.intp)
+    shapes = np.zeros((capacity, lmax))
+    rhs = np.zeros(capacity)
+    linv = np.zeros((capacity, capacity))
+    z = np.zeros(capacity)
+    factored = True
     amplitudes = np.empty(0)
     residual = x.copy()
     exhausted = False
 
-    for _ in range(budget):
+    for k in range(budget):
         hit = _argmax_correlation(corr, scan, masks)
         if hit is None:
             exhausted = True
             break
         pos, tau, _ = hit
         masks[pos][tau] = False
-        w = waveforms[pos]
+        sel_pos[k], sel_tau[k] = pos, tau
+        support[k] = np.minimum(tau + lanes, n - 1)
+        shapes[k, : waveforms[pos].size] = waveforms[pos]
+        rhs[k] = signal_corr[pos][tau]
 
-        k = len(selected)
-        for j, (pos_j, tau_j) in enumerate(selected):
-            inner = _shifted_inner(w, tau, waveforms[pos_j], tau_j)
-            gram[k, j] = gram[j, k] = inner
-        gram[k, k] = float(np.dot(w, w))
-        selected.append((pos, tau))
-        rhs.append(float(signal_corr[pos][tau]))
+        if factored:
+            g = _gram_lookup(table, pos, tau, sel_pos[:k], sel_tau[:k])
+            v = linv[:k, :k] @ g
+            pivot = table[pos, pos, lmax - 1] - float(v @ v)
+            factored = pivot > 0.0 and math.isfinite(pivot)
+        if factored:
+            lam = math.sqrt(pivot)
+            linv[k, :k] = -(v @ linv[:k, :k]) / lam
+            linv[k, k] = 1.0 / lam
+            z[k] = (rhs[k] - float(v @ z[:k])) / lam
+            amplitudes = z[: k + 1] @ linv[: k + 1, : k + 1]
+        else:
+            chosen_pos, chosen_tau = sel_pos[: k + 1], sel_tau[: k + 1]
+            gram = _gram_lookup(
+                table, chosen_pos[:, None], chosen_tau[:, None], chosen_pos, chosen_tau
+            )
+            amplitudes = _solve_gram(gram, rhs[: k + 1])
 
-        amplitudes = _solve_gram(gram[: k + 1, : k + 1], np.asarray(rhs))
-
-        reconstruction = np.zeros(n)
-        for (pos_j, tau_j), a_j in zip(selected, amplitudes):
-            w_j = waveforms[pos_j]
-            reconstruction[tau_j : tau_j + w_j.size] += a_j * w_j
-        residual = x - reconstruction
+        weights = amplitudes[:, None] * shapes[: k + 1]
+        residual = x - np.bincount(support[: k + 1].ravel(), weights.ravel(), minlength=n)
         corr = {pos_c: np.correlate(residual, w_c, mode="valid")
                 for pos_c, w_c in enumerate(waveforms)}
 
     instances = tuple(
-        AtomInstance(dictionary.atoms[pos].id, tau, float(a))
-        for (pos, tau), a in zip(selected, amplitudes)
+        AtomInstance(dictionary.atoms[pos].id, int(tau), float(a))
+        for pos, tau, a in zip(sel_pos, sel_tau, amplitudes)
     )
     return SparseCode(instances, residual, dictionary.generation, exhausted)
 

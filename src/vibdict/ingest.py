@@ -206,17 +206,34 @@ def save_segment_raw(segment: SignalSegment, path: str, format: str = "raw_f64le
         fh.write(f"source_id={segment.source_id}\n")
 
 
+def _require_finite(segment: SignalSegment) -> None:
+    """Raise DataError naming the segment if any sample is NaN or infinite."""
+    bad = np.flatnonzero(~np.isfinite(segment.samples))
+    if bad.size:
+        raise DataError(
+            f"non-finite sample {segment.samples[bad[0]]} at index {bad[0]} "
+            f"(source {segment.source_id}, t={segment.timestamp})"
+        )
+
+
 def gate_by_rms(segments: list[SignalSegment], gate: SegmentGate) -> list[SignalSegment]:
     """Keep segments whose raw-amplitude RMS is strictly above the threshold.
 
     Idempotent; preserves input order. Apply before :func:`preprocess`,
-    since the threshold is physical (G).
+    since the threshold is physical (G). A non-finite sample raises
+    DataError instead of failing the comparison and dropping the segment.
     """
+    for seg in segments:
+        _require_finite(seg)
     return [seg for seg in segments if rms(seg.samples) > gate.rms_threshold]
 
 
 def preprocess(segment: SignalSegment) -> SignalSegment:
-    """Standardize a segment to zero mean and unit population variance."""
+    """Standardize a segment to zero mean and unit population variance.
+
+    Raises DataError for a non-finite sample or a zero-variance segment.
+    """
+    _require_finite(segment)
     x = segment.samples
     mean = x.mean()
     var = x.var()

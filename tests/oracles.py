@@ -74,6 +74,34 @@ def lstsq_amplitudes(signal, placements, waveforms_by_id):
     return coef
 
 
+def naive_omp(signal, waveforms_by_id, count):
+    """Exhaustive orthogonal matching pursuit; returns (instances, residual).
+
+    Each pick scans every not-yet-selected (id, offset) placement in
+    ascending order for the largest |inner product| with the residual,
+    then refits all selected amplitudes by dense least squares.
+    """
+    signal = np.asarray(signal, dtype=np.float64)
+    residual = signal.copy()
+    placements, amplitudes = [], []
+    for _ in range(count):
+        best = None
+        for atom_id in sorted(waveforms_by_id):
+            w = waveforms_by_id[atom_id]
+            for tau in range(len(signal) - len(w) + 1):
+                if (atom_id, tau) in placements:
+                    continue
+                value = abs(float(np.dot(residual[tau : tau + len(w)], w)))
+                if best is None or value > best[2]:
+                    best = (atom_id, tau, value)
+        if best is None or best[2] == 0.0:
+            break
+        placements.append(best[:2])
+        amplitudes = lstsq_amplitudes(signal, placements, waveforms_by_id)
+        residual = signal - placement_matrix(len(signal), placements, waveforms_by_id) @ amplitudes
+    return [(i, t, float(a)) for (i, t), a in zip(placements, amplitudes)], residual
+
+
 def naive_coherence(wa, wb):
     """Max normalized |inner product| over every overlapping alignment."""
     best = 0.0

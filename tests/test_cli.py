@@ -83,6 +83,18 @@ class TestTrain:
         assert code == 3
         assert "passed the RMS gate" in capsys.readouterr().err
 
+    def test_non_finite_sample_is_data_error(self, small_fleet, tmp_path, capsys):
+        path = sorted((small_fleet / "m00").glob("*.csv"))[2]
+        lines = path.read_text().splitlines()
+        timestamp = lines[0].split(",")[0]
+        lines[10] = "nan"
+        path.write_text("\n".join(lines) + "\n")
+        code = run(*train_args(small_fleet / "m00", tmp_path / "out", rms_gate="0"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "non-finite sample" in err
+        assert f"source m00, t={timestamp}" in err
+
     def test_does_not_mutate_inputs(self, small_fleet, tmp_path):
         def digest():
             h = hashlib.sha256()

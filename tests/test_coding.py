@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vibdict.coding as coding
 from vibdict.coding import (
     AtomInstance,
     CodingConfig,
@@ -16,7 +17,7 @@ from vibdict.coding import (
 from vibdict.dictionary import Atom, Dictionary, init_pseudorandom, unit_normalize
 from vibdict.ingest import SignalSegment, preprocess
 
-from oracles import lstsq_amplitudes, naive_correlation, naive_mp
+from oracles import lstsq_amplitudes, naive_correlation, naive_mp, naive_omp
 
 
 def random_dictionary(rng, num_atoms=3, min_len=8, max_len=32):
@@ -183,6 +184,72 @@ class TestOmpEncode:
             np.testing.assert_allclose(
                 [i.amplitude for i in code.instances], expected, atol=1e-8
             )
+
+    def test_matches_exhaustive_oracle_with_unequal_atom_lengths(self):
+        rng = np.random.default_rng(16)
+        for _ in range(15):
+            m = int(rng.integers(1, 5))
+            lengths = rng.choice(np.arange(6, 31), size=m, replace=False)
+            ids = rng.choice(20, size=m, replace=False)
+            d = Dictionary(tuple(
+                Atom(unit_normalize(rng.standard_normal(int(length))), int(atom_id))
+                for length, atom_id in zip(lengths, ids)
+            ))
+            seg = random_segment(rng, n=int(rng.integers(32, 96)))
+            count = int(rng.integers(1, 13))
+            code = omp_encode(seg, d, CodingConfig("omp", n_instances=count))
+            expected, residual = naive_omp(seg.samples, {a.id: a.waveform for a in d.atoms}, count)
+            assert [(i.atom_id, i.offset) for i in code.instances] == [e[:2] for e in expected]
+            np.testing.assert_allclose(
+                [i.amplitude for i in code.instances], [e[2] for e in expected], rtol=0, atol=1e-8
+            )
+            np.testing.assert_allclose(code.residual, residual, rtol=0, atol=1e-8)
+
+    def test_dependent_selection_takes_ridge_fallback(self, monkeypatch):
+        # Two copies of one waveform in a segment 3 samples longer: after the
+        # 4 distinct placements every further pick duplicates one, so the
+        # budget of all 8 placements forces a singular Gram matrix.
+        sizes = []
+        real_solve = coding._solve_gram
+
+        def spy(gram, rhs):
+            sizes.append(gram.shape[0])
+            return real_solve(gram, rhs)
+
+        monkeypatch.setattr(coding, "_solve_gram", spy)
+        fallback_segments = 0
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            w = 0.25 * rng.choice([-1.0, 1.0], size=16)
+            d = Dictionary((Atom(w, 4), Atom(w.copy(), 2)))
+            seg = SignalSegment(rng.standard_normal(19), 1000.0, 0, "m")
+            sizes.clear()
+            code = omp_encode(seg, d, CodingConfig("omp", n_instances=8))
+            amplitudes = np.array([i.amplitude for i in code.instances])
+            assert np.all(np.isfinite(amplitudes))
+            np.testing.assert_allclose(
+                reconstruct(code.instances, d, len(seg)) + code.residual, seg.samples,
+                atol=1e-9,
+            )
+            if sizes:
+                fallback_segments += 1
+                # once singular, every later pick is solved by the fallback
+                assert sizes == list(range(sizes[0], len(code.instances) + 1))
+        assert fallback_segments > 0
+
+    def test_budget_beyond_placements_exhausts_each_once(self):
+        rng = np.random.default_rng(17)
+        d = Dictionary((
+            Atom(unit_normalize(rng.standard_normal(11)), 1),
+            Atom(unit_normalize(rng.standard_normal(8)), 0),
+        ))
+        seg = random_segment(rng, n=14)
+        code = omp_encode(seg, d, CodingConfig("omp", n_instances=20))
+        placements = [(i.atom_id, i.offset) for i in code.instances]
+        valid = {(a.id, tau) for a in d.atoms for tau in range(len(seg) - len(a) + 1)}
+        assert code.exhausted
+        assert len(placements) == len(valid) == 11
+        assert set(placements) == valid
 
     def test_residual_orthogonal_to_selection(self):
         rng = np.random.default_rng(9)

@@ -63,6 +63,14 @@ class TestGate:
         expected = [s for s in segments if naive_rms(s.samples) > 0.5]
         assert [s.timestamp for s in kept] == [s.timestamp for s in expected]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected_not_dropped(self, bad):
+        x = np.ones(64)
+        x[5] = bad
+        with pytest.raises(DataError, match=r"source m7, t=42"):
+            gate_by_rms([make_segment(np.ones(8)), make_segment(x, t=42, source="m7")],
+                        SegmentGate(0.0))
+
     def test_idempotent_and_order_preserving(self):
         rng = np.random.default_rng(7)
         segments = [make_segment(rng.standard_normal(32) * rng.uniform(0, 2), t=k)
@@ -85,6 +93,13 @@ class TestPreprocess:
         seg = preprocess(make_segment(rng.standard_normal(512)))
         again = preprocess(seg)
         np.testing.assert_allclose(again.samples, seg.samples, atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        x = np.random.default_rng(5).standard_normal(512)
+        x[100] = bad
+        with pytest.raises(DataError, match=r"index 100 \(source m3, t=77\)"):
+            preprocess(make_segment(x, t=77, source="m3"))
 
     def test_constant_segment_rejected(self):
         with pytest.raises(DataError, match="zero-variance"):

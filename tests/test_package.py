@@ -1,0 +1,12 @@
+import os
+import re
+
+import vibdict
+
+
+def test_version_matches_pyproject():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path, encoding="utf-8") as fh:
+        match = re.search(r'^version\s*=\s*"([^"]+)"', fh.read(), re.MULTILINE)
+    assert match is not None
+    assert vibdict.__version__ == match.group(1)
