@@ -23,7 +23,6 @@ import argparse
 import os
 import sys
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -156,56 +155,91 @@ def _prepared_segments(indir: str, fmt: str, cfg: RunConfig):
     return len(segments), len(gated), [ingest.preprocess(s) for s in gated]
 
 
-def _run_per_machine(tasks, jobs: int):
-    """Run (machine, callable) pairs, optionally in a thread pool."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [(machine, fn()) for machine, fn in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [(machine, pool.submit(fn)) for machine, fn in tasks]
-        return [(machine, future.result()) for machine, future in futures]
+@dataclass(frozen=True)
+class MachineTask:
+    """One machine's work for ``train_one`` or ``monitor_one``.
+
+    Holds the resolved config and the few flags the workers read, so it
+    pickles and a worker process needs nothing else from the parent.
+    The fields after ``fmt`` are read by ``monitor_one`` only.
+    """
+
+    machine: str
+    indir: str
+    cfg: RunConfig
+    fmt: str
+    baseline: str = ""
+    mode: str = "propagate"
+    foreign: str | None = None
+    dump_codes: bool = False
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+
+
+def _run_per_machine(worker, tasks: list[MachineTask], jobs: int) -> list:
+    """Run ``worker`` on every task and return the results in task order.
+
+    With ``jobs > 1`` and several machines, ``min(jobs, machines)`` worker
+    processes each run whole machines, one at a time. The first failure in
+    task order is re-raised here, with its original type and message.
+    """
+    if jobs == 1 or len(tasks) <= 1:
+        return [worker(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        return list(pool.map(worker, tasks))
+
+
+def train_one(task: MachineTask) -> tuple[float, int]:
+    """Train and save one machine's baseline; return (final fidelity dB, growth events)."""
+    cfg, machine = task.cfg, task.machine
+    available, gated, prepared = _prepared_segments(task.indir, task.fmt, cfg)
+    usable = [s for s in prepared if len(s) >= cfg.block_len]
+    if not usable:
+        raise DataError(
+            f"machine {machine!r}: insufficient training data "
+            f"({available} segments available, {gated} passed the RMS gate, "
+            f"{len(usable)} long enough for block_len={cfg.block_len})"
+        )
+    blocks = ingest.sample_blocks(
+        usable, cfg.block_len, cfg.train_blocks, machine_seed(cfg.seed, machine)
+    )
+    init = dictionary.init_pseudorandom(cfg.atoms, cfg.core_len, cfg.pad, cfg.seed)
+    result = learning.train_baseline(
+        blocks,
+        init,
+        coding.CodingConfig(cfg.algorithm, cfg.sparsity),
+        learning.LearnConfig(eta=cfg.eta),
+    )
+    dictionary.save_dictionary(
+        result.dictionary, os.path.join(cfg.output, f"{machine}.vdct")
+    )
+    log_path = os.path.join(cfg.output, f"{machine}_train_log.csv")
+    with open(log_path, "w", encoding="utf-8") as fh:
+        fh.write("block,fidelity_db\n")
+        for k, fid in enumerate(result.fidelity_db):
+            fh.write(f"{k},{float(fid)!r}\n")
+    return float(result.fidelity_db[-1]), result.growth_events
 
 
 def cmd_train(args) -> int:
+    _check_jobs(args.jobs)
     cfg = resolve_config(args)
     if not cfg.input or not cfg.output:
         raise ConfigError("train requires --input and --output")
-    coding_cfg = coding.CodingConfig(cfg.algorithm, cfg.sparsity)
-    learn_cfg = learning.LearnConfig(eta=cfg.eta)
     write_effective_config(cfg, cfg.output)
-
-    def train_one(machine: str, indir: str):
-        available, gated, prepared = _prepared_segments(indir, args.format, cfg)
-        usable = [s for s in prepared if len(s) >= cfg.block_len]
-        if not usable:
-            raise DataError(
-                f"machine {machine!r}: insufficient training data "
-                f"({available} segments available, {gated} passed the RMS gate, "
-                f"{len(usable)} long enough for block_len={cfg.block_len})"
-            )
-        blocks = ingest.sample_blocks(
-            usable, cfg.block_len, cfg.train_blocks, machine_seed(cfg.seed, machine)
-        )
-        init = dictionary.init_pseudorandom(cfg.atoms, cfg.core_len, cfg.pad, cfg.seed)
-        result = learning.train_baseline(blocks, init, coding_cfg, learn_cfg)
-        dictionary.save_dictionary(
-            result.dictionary, os.path.join(cfg.output, f"{machine}.vdct")
-        )
-        log_path = os.path.join(cfg.output, f"{machine}_train_log.csv")
-        with open(log_path, "w", encoding="utf-8") as fh:
-            fh.write("block,fidelity_db\n")
-            for k, fid in enumerate(result.fidelity_db):
-                fh.write(f"{k},{float(fid)!r}\n")
-        return result
-
-    tasks = [
-        (machine, lambda machine=machine, indir=indir: train_one(machine, indir))
-        for machine, indir in _machine_dirs(cfg.input)
-    ]
-    for machine, result in _run_per_machine(tasks, args.jobs):
+    machines = _machine_dirs(cfg.input)
+    tasks = [MachineTask(machine, indir, cfg, args.format) for machine, indir in machines]
+    results = _run_per_machine(train_one, tasks, args.jobs)
+    for (machine, _), (fidelity, growth_events) in zip(machines, results):
         print(
             f"{machine}: trained {cfg.atoms} atoms over {cfg.train_blocks} blocks, "
-            f"final fidelity {result.fidelity_db[-1]:.2f} dB, "
-            f"{result.growth_events} growth events"
+            f"final fidelity {fidelity:.2f} dB, "
+            f"{growth_events} growth events"
         )
     return 0
 
@@ -225,48 +259,53 @@ def _baseline_for(machine: str, baseline_path: str, cfg: RunConfig):
     return _load_baseline(baseline_path, cfg)
 
 
+def monitor_one(task: MachineTask) -> tuple[int, learning.HistoryRecord | None]:
+    """Monitor one machine and save its outputs; return (records, last record)."""
+    cfg, machine = task.cfg, task.machine
+    eta = 0.0 if task.mode in ("frozen", "foreign") else cfg.eta
+    coding_cfg = coding.CodingConfig(cfg.algorithm, cfg.sparsity)
+    learn_cfg = learning.LearnConfig(eta=eta)
+    own = _baseline_for(machine, task.baseline, cfg)
+    live = _load_baseline(task.foreign, cfg) if task.mode == "foreign" else own
+    _, _, prepared = _prepared_segments(task.indir, task.fmt, cfg)
+    state = learning.MonitorState(live, own)
+    codes_dir = os.path.join(cfg.output, f"{machine}_codes")
+    if task.dump_codes:
+        os.makedirs(codes_dir, exist_ok=True)
+    for segment in prepared:
+        state, code = learning.monitor_step(state, segment, coding_cfg, learn_cfg)
+        if task.dump_codes:
+            coding.save_code_csv(
+                code, os.path.join(codes_dir, f"{segment.timestamp}.csv")
+            )
+    learning.save_history_csv(
+        state.records, os.path.join(cfg.output, f"{machine}_history.csv")
+    )
+    dictionary.save_dictionary(
+        state.dictionary, os.path.join(cfg.output, f"{machine}_final.vdct")
+    )
+    return len(state.records), state.records[-1] if state.records else None
+
+
 def cmd_monitor(args) -> int:
+    _check_jobs(args.jobs)
     cfg = resolve_config(args)
     if not cfg.input or not cfg.output:
         raise ConfigError("monitor requires --input and --output")
     if args.mode == "foreign" and not args.foreign:
         raise ConfigError("--mode foreign requires --foreign DICT")
-    eta = 0.0 if args.mode in ("frozen", "foreign") else cfg.eta
-    coding_cfg = coding.CodingConfig(cfg.algorithm, cfg.sparsity)
-    learn_cfg = learning.LearnConfig(eta=eta)
     write_effective_config(cfg, cfg.output)
-
-    def monitor_one(machine: str, indir: str):
-        own = _baseline_for(machine, args.baseline, cfg)
-        live = _load_baseline(args.foreign, cfg) if args.mode == "foreign" else own
-        _, _, prepared = _prepared_segments(indir, args.format, cfg)
-        state = learning.MonitorState(live, own)
-        codes_dir = os.path.join(cfg.output, f"{machine}_codes")
-        if args.dump_codes:
-            os.makedirs(codes_dir, exist_ok=True)
-        for segment in prepared:
-            state, code = learning.monitor_step(state, segment, coding_cfg, learn_cfg)
-            if args.dump_codes:
-                coding.save_code_csv(
-                    code, os.path.join(codes_dir, f"{segment.timestamp}.csv")
-                )
-        learning.save_history_csv(
-            state.records, os.path.join(cfg.output, f"{machine}_history.csv")
-        )
-        dictionary.save_dictionary(
-            state.dictionary, os.path.join(cfg.output, f"{machine}_final.vdct")
-        )
-        return state
-
+    machines = _machine_dirs(cfg.input)
     tasks = [
-        (machine, lambda machine=machine, indir=indir: monitor_one(machine, indir))
-        for machine, indir in _machine_dirs(cfg.input)
+        MachineTask(machine, indir, cfg, args.format, args.baseline, args.mode,
+                    args.foreign, args.dump_codes)
+        for machine, indir in machines
     ]
-    for machine, state in _run_per_machine(tasks, args.jobs):
-        if state.records:
-            last = state.records[-1]
+    results = _run_per_machine(monitor_one, tasks, args.jobs)
+    for (machine, _), (count, last) in zip(machines, results):
+        if last is not None:
             print(
-                f"{machine}: {len(state.records)} segments, "
+                f"{machine}: {count} segments, "
                 f"final fidelity {last.fidelity_db:.2f} dB, "
                 f"final distance {last.distance_deg:.4f} deg"
             )
@@ -410,12 +449,14 @@ def _add_common_flags(sub, with_io=True):
     sub.add_argument("--sparsity", type=float, default=None, help="target sparsity in [0,1)")
     sub.add_argument("--rms-gate", dest="rms_gate", type=float, default=None,
                      help="segment RMS gate in G")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel machines")
     if with_io:
         sub.add_argument("--input", default=None, help="segment directory")
         sub.add_argument("--output", default=None, help="output directory")
         sub.add_argument("--format", choices=sorted(ingest.FORMATS), default="csv",
                          help="segment file format")
+        sub.add_argument("--jobs", type=int, default=1,
+                         help="worker processes, each running whole machines "
+                              "(1: run in this process)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,7 @@
 An atom is a unit-norm waveform that describes a recurring signal feature.
 A dictionary is an ordered set of M atoms with stable integer ids and an
 update-generation counter. Dictionaries are values: updates build new
-instances, so snapshots can be shared freely across threads.
+instances, so a dictionary never changes once it has been handed out.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 import hashlib
+import multiprocessing
 import os
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -69,6 +72,29 @@ class TestTrain:
         for name in ("m00.vdct", "m01.vdct"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_worker_failure_keeps_exit_code_and_message(self, small_fleet, tmp_path, capsys):
+        (small_fleet / "m02").mkdir()
+        outcomes = []
+        for jobs in ("1", "2"):
+            code = run(*train_args(small_fleet, tmp_path / f"out{jobs}", jobs=jobs))
+            outcomes.append((code, capsys.readouterr()))
+        (code_1, serial), (code_2, pooled) = outcomes
+        assert code_1 == code_2 == 3
+        assert pooled.err == serial.err
+        assert "machine 'm02': insufficient training data (0 segments available" in pooled.err
+        assert pooled.out == serial.out == ""
+
+    @pytest.mark.parametrize("command", ["train", "monitor"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, small_fleet, tmp_path, capsys, command, jobs):
+        args = train_args(small_fleet, tmp_path / "out", jobs=jobs)
+        if command == "monitor":
+            args = ["monitor", "--input", small_fleet, "--baseline", tmp_path / "base",
+                    "--output", tmp_path / "mon", "--jobs", jobs]
+        assert run(*args) == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "mon").exists()
+
     def test_insufficient_segments_reports_counts(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -134,6 +160,48 @@ class TestMonitor:
         assert [r.timestamp for r in records] == [43200 * k for k in range(6)]
         final = load_dictionary(str(out / "m00_final.vdct"))
         assert final.generation > 0
+
+    def test_jobs_two_matches_serial_bytewise(self, small_fleet, baseline, tmp_path, capsys):
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"mon{jobs}"
+            args = self.monitor_args(small_fleet, baseline, out, jobs=jobs)
+            assert run(*args, "--dump-codes") == 0
+            files = {
+                path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*"))
+                if path.is_file() and path.name != "effective_config.txt"
+            }
+            outputs.append((files, capsys.readouterr().out))
+        (serial_files, serial_out), (pooled_files, pooled_out) = outputs
+        names = {str(p) for p in serial_files}
+        assert {"m00_history.csv", "m01_history.csv",
+                "m00_final.vdct", "m01_final.vdct"} <= names
+        assert len([n for n in names if n.startswith("m01_codes")]) == 6
+        assert pooled_files == serial_files
+        assert pooled_out == serial_out
+        assert serial_out.count("6 segments") == 2
+
+    def test_machine_task_pickles_for_any_start_method(self, small_fleet, baseline, tmp_path):
+        def task(output):
+            (tmp_path / output).mkdir()
+            cfg = cli.RunConfig(atoms=2, eta=1e-3, seed=11, input=str(small_fleet),
+                                output=str(tmp_path / output))
+            return cli.MachineTask("m00", str(small_fleet / "m00"), cfg, "csv",
+                                   str(baseline), "propagate", None, False)
+
+        serial, spawned = task("serial"), task("spawned")
+        assert pickle.loads(pickle.dumps(serial)) == serial
+        expected = cli.monitor_one(serial)
+
+        # A spawned worker starts from a fresh import: nothing is inherited.
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            result = pool.submit(cli.monitor_one, spawned).result(timeout=120)
+        assert result == expected
+        for name in ("m00_history.csv", "m00_final.vdct"):
+            assert ((tmp_path / "spawned" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes())
 
     def test_frozen_mode_distance_zero(self, small_fleet, baseline, tmp_path):
         out = tmp_path / "mon"
@@ -315,6 +383,12 @@ class TestSynthCommand:
         assert (small_fleet / "m01").is_dir()
         assert (small_fleet / "effective_config.txt").exists()
         assert len(list((small_fleet / "m00").glob("*.csv"))) == 6
+
+    def test_jobs_flag_not_accepted(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "--output", tmp_path / "f", "--jobs", 2)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_fault_machine_out_of_range(self, tmp_path, capsys):
         code = run("synth", "--output", tmp_path / "f", "--machines", 2,
