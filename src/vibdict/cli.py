@@ -231,6 +231,11 @@ def cmd_train(args) -> int:
     cfg = resolve_config(args)
     if not cfg.input or not cfg.output:
         raise ConfigError("train requires --input and --output")
+    if cfg.core_len + 2 * cfg.pad > cfg.block_len:
+        raise ConfigError(
+            f"seed atoms of core_len + 2 * pad = {cfg.core_len + 2 * cfg.pad} samples "
+            f"do not fit in block_len={cfg.block_len}"
+        )
     write_effective_config(cfg, cfg.output)
     machines = _machine_dirs(cfg.input)
     tasks = [MachineTask(machine, indir, cfg, args.format) for machine, indir in machines]

@@ -19,8 +19,10 @@ costs O(k^2) at the k-th pick. When a pick makes the selection linearly
 dependent, the new pivot collapses to round-off; if it is not positive,
 the rest of the segment falls back to a ridge-damped solve of the full
 Gram system. OMP still costs more per pick than MP: every amplitude can
-change, so it rebuilds the residual and recomputes the correlations over
-the whole segment, where MP only touches the window around the pick.
+change, so it rebuilds the residual and needs its correlation with every
+atom at every shift, where MP only touches the window around the pick.
+OMP gets those from one FFT of the residual and one batched inverse FFT,
+and re-scores near-ties exactly, so it picks what a plain scan would.
 
 Only fully interior shifts are valid: an atom's support must lie entirely
 inside the segment, with no partial overlap at the edges.
@@ -35,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dictionary import Atom, Dictionary
-from .errors import NumericError
+from .errors import AtomFitError, NumericError
 from .ingest import SignalSegment
 
 MP = "mp"
@@ -45,6 +47,12 @@ ALGORITHMS = (MP, OMP)
 # Diagonal damping applied to the OMP Gram system when it is not
 # numerically positive definite: lambda = RIDGE_SCALE * trace(G) / k.
 RIDGE_SCALE = 1e-12
+
+# OMP screens candidates with FFT correlations, which differ from the
+# np.correlate values by round-off of order eps * log2(n) * ||r|| * ||w||.
+# The screen treats them as exact to within FFT_SLACK * ||r|| * max ||w||,
+# more than 100 times that bound.
+FFT_SLACK = 1e-11
 
 
 @dataclass(frozen=True)
@@ -126,21 +134,18 @@ def _scan_atoms(dictionary: Dictionary):
     return sorted(enumerate(dictionary.atoms), key=lambda item: item[1].id)
 
 
-def _argmax_correlation(corr_by_pos, scan_order, masks=None):
+def _argmax_correlation(corr_by_pos, scan_order):
     """Deterministic argmax of |correlation| over atoms and shifts.
 
     Ties go to the lowest atom id, then the lowest offset. Returns
-    (position, offset, signed value) or None when no unmasked candidate
-    has nonzero magnitude.
+    (position, offset, signed value) or None when every candidate has
+    zero magnitude.
     """
     best = None
     best_abs = 0.0
     for pos, _atom in scan_order:
         corr = corr_by_pos[pos]
-        if masks is None:
-            magnitudes = np.abs(corr)
-        else:
-            magnitudes = np.where(masks[pos], np.abs(corr), -1.0)
+        magnitudes = np.abs(corr)
         offset = int(np.argmax(magnitudes))
         value = magnitudes[offset]
         if value > best_abs:
@@ -172,8 +177,9 @@ def _check_fits(segment: SignalSegment, dictionary: Dictionary) -> None:
     n = len(segment)
     for atom in dictionary.atoms:
         if len(atom) > n:
-            raise ValueError(
-                f"atom {atom.id} of length {len(atom)} does not fit in segment of length {n}"
+            raise AtomFitError(
+                f"atom {atom.id} of length {len(atom)} does not fit in segment of length {n} "
+                f"(source {segment.source_id}, t={segment.timestamp})"
             )
 
 
@@ -267,6 +273,35 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise NumericError(f"Gram system of size {k} not solvable even with ridge damping") from exc
 
 
+def _screened_argmax(magnitudes, dead, residual, waveforms, slack):
+    """Row-major argmax of exact |correlation| from FFT-screened magnitudes.
+
+    ``magnitudes`` holds |FFT correlations|, each within ``slack`` of the
+    value ``np.correlate`` gives, with dead entries at -inf. The FFT
+    winner stands when no other live candidate, and not zero, lies within
+    2 * slack of it. Otherwise every row holding a candidate that close is
+    re-scored with ``np.correlate``, so near-ties and exhaustion are
+    decided on the same values as MP's scan. Returns (row, offset,
+    magnitude); a magnitude that is not positive means nothing is left.
+    """
+    width = magnitudes.shape[1]
+    row, tau = divmod(int(np.argmax(magnitudes)), width)
+    top = magnitudes[row, tau]
+    if dead[row, tau]:
+        return row, tau, top
+    near = magnitudes >= top - 2.0 * slack
+    if top > 2.0 * slack and np.count_nonzero(near) == 1:
+        return row, tau, top
+    rows = np.flatnonzero(near.any(axis=1))
+    exact = np.full((rows.size, width), -np.inf)
+    for i, r in enumerate(rows):
+        corr = np.correlate(residual, waveforms[r], mode="valid")
+        np.abs(corr, out=exact[i, : corr.size])
+    np.copyto(exact, -np.inf, where=dead[rows])
+    i, tau = divmod(int(np.argmax(exact)), width)
+    return int(rows[i]), tau, exact[i, tau]
+
+
 def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig) -> SparseCode:
     """Orthogonal Matching Pursuit over the selected shifted-atom set.
 
@@ -275,6 +310,17 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
     residual becomes the projection remainder. A selected (atom, offset)
     pair is excluded from later scans since re-picking it adds no new
     basis vector.
+
+    Correlations live in one (M, n - L_min + 1) array with rows in
+    ascending atom id, so one row-major argmax gives the tie-break; a
+    boolean mask kills the offsets past each atom's last interior shift
+    and the placements already selected. The first pick scans the exact
+    ``np.correlate`` values. After that, the residual's correlation with
+    every atom comes from one rfft of the residual, the precomputed
+    conjugate atom spectra and one batched irfft (interior shifts never
+    wrap, so the circular length n suffices); see :func:`_screened_argmax`
+    for how near-ties are re-scored exactly, which keeps the picks those
+    of a plain ``np.correlate`` scan.
 
     The least-squares fit keeps the inverse Cholesky factor Linv of the
     Gram matrix G = L L^T and z = Linv @ rhs, and grows both by one row
@@ -297,20 +343,28 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
     x = segment.samples
     n = x.size
     scan = _scan_atoms(dictionary)
-    waveforms = [atom.waveform for atom in dictionary.atoms]
+    ids = [atom.id for _, atom in scan]
+    waveforms = [atom.waveform for _, atom in scan]
     table = _cross_table(waveforms)
     lmax = table.shape[2] // 2
     lanes = np.arange(lmax)
+    atoms = np.zeros((len(waveforms), lmax))
+    for row, w in enumerate(waveforms):
+        atoms[row, : w.size] = w
+    wmax = max(float(np.linalg.norm(w)) for w in waveforms)
 
-    signal_corr = {pos: np.correlate(x, w, mode="valid") for pos, w in enumerate(waveforms)}
-    corr = {pos: c.copy() for pos, c in signal_corr.items()}
-    masks = {pos: np.ones(c.size, dtype=bool) for pos, c in corr.items()}
+    width = n - min(w.size for w in waveforms) + 1
+    signal_corr = np.zeros((len(waveforms), width))
+    dead = np.zeros(signal_corr.shape, dtype=bool)
+    for row, w in enumerate(waveforms):
+        signal_corr[row, : n - w.size + 1] = np.correlate(x, w, mode="valid")
+        dead[row, n - w.size + 1 :] = True
     budget = instance_budget(n, cfg)
     # Each valid placement is picked at most once, so that count bounds
     # the working arrays even when the budget is larger.
-    capacity = min(budget, sum(c.size for c in corr.values()))
+    capacity = min(budget, dead.size - np.count_nonzero(dead))
 
-    sel_pos = np.zeros(capacity, dtype=np.intp)
+    sel_row = np.zeros(capacity, dtype=np.intp)
     sel_tau = np.zeros(capacity, dtype=np.intp)
     # Sample index and zero-padded waveform of every selected placement;
     # padding lanes point at the last sample and carry zero weight.
@@ -323,23 +377,30 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
     amplitudes = np.empty(0)
     residual = x.copy()
     exhausted = False
+    magnitudes = np.abs(signal_corr)
+    spectra = None
 
     for k in range(budget):
-        hit = _argmax_correlation(corr, scan, masks)
-        if hit is None:
+        np.copyto(magnitudes, -np.inf, where=dead)
+        if k == 0:
+            row, tau = divmod(int(np.argmax(magnitudes)), width)
+            top = magnitudes[row, tau]
+        else:
+            slack = FFT_SLACK * float(np.linalg.norm(residual)) * wmax
+            row, tau, top = _screened_argmax(magnitudes, dead, residual, waveforms, slack)
+        if not top > 0.0:
             exhausted = True
             break
-        pos, tau, _ = hit
-        masks[pos][tau] = False
-        sel_pos[k], sel_tau[k] = pos, tau
+        dead[row, tau] = True
+        sel_row[k], sel_tau[k] = row, tau
         support[k] = np.minimum(tau + lanes, n - 1)
-        shapes[k, : waveforms[pos].size] = waveforms[pos]
-        rhs[k] = signal_corr[pos][tau]
+        shapes[k] = atoms[row]
+        rhs[k] = signal_corr[row, tau]
 
         if factored:
-            g = _gram_lookup(table, pos, tau, sel_pos[:k], sel_tau[:k])
+            g = _gram_lookup(table, row, tau, sel_row[:k], sel_tau[:k])
             v = linv[:k, :k] @ g
-            pivot = table[pos, pos, lmax - 1] - float(v @ v)
+            pivot = table[row, row, lmax - 1] - float(v @ v)
             factored = pivot > 0.0 and math.isfinite(pivot)
         if factored:
             lam = math.sqrt(pivot)
@@ -348,20 +409,23 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
             z[k] = (rhs[k] - float(v @ z[:k])) / lam
             amplitudes = z[: k + 1] @ linv[: k + 1, : k + 1]
         else:
-            chosen_pos, chosen_tau = sel_pos[: k + 1], sel_tau[: k + 1]
+            chosen_row, chosen_tau = sel_row[: k + 1], sel_tau[: k + 1]
             gram = _gram_lookup(
-                table, chosen_pos[:, None], chosen_tau[:, None], chosen_pos, chosen_tau
+                table, chosen_row[:, None], chosen_tau[:, None], chosen_row, chosen_tau
             )
             amplitudes = _solve_gram(gram, rhs[: k + 1])
 
         weights = amplitudes[:, None] * shapes[: k + 1]
         residual = x - np.bincount(support[: k + 1].ravel(), weights.ravel(), minlength=n)
-        corr = {pos_c: np.correlate(residual, w_c, mode="valid")
-                for pos_c, w_c in enumerate(waveforms)}
+        if k + 1 < budget:
+            if spectra is None:
+                spectra = np.conj(np.fft.rfft(atoms, n=n, axis=1))
+            corr = np.fft.irfft(np.fft.rfft(residual) * spectra, n=n, axis=1)
+            np.abs(corr[:, :width], out=magnitudes)
 
     instances = tuple(
-        AtomInstance(dictionary.atoms[pos].id, int(tau), float(a))
-        for pos, tau, a in zip(sel_pos, sel_tau, amplitudes)
+        AtomInstance(ids[row], int(tau), float(a))
+        for row, tau, a in zip(sel_row, sel_tau, amplitudes)
     )
     return SparseCode(instances, residual, dictionary.generation, exhausted)
 

@@ -17,5 +17,13 @@ class DataError(VibdictError):
     """Unreadable, malformed, or semantically unusable input data."""
 
 
+class AtomFitError(DataError, ValueError):
+    """An atom is longer than the segment it should code.
+
+    The segment, not the configuration, is too short, so the CLI reports
+    it as a data error; it stays a ValueError for library callers.
+    """
+
+
 class NumericError(VibdictError):
     """A computation could not produce a meaningful numeric result."""

@@ -108,7 +108,22 @@ def _read_csv_segment(path: str) -> SignalSegment:
                 raise DataError(f"{path}: malformed sample at line {lineno}: {text!r}") from None
     if not samples:
         raise DataError(f"{path}: no samples after header")
-    return SignalSegment(np.array(samples), sample_rate, timestamp, source_id)
+    values = np.array(samples)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DataError(
+            f"{path}: non-finite sample {values[bad[0]]} at line {_sample_line(path, bad[0])} "
+            f"(source {source_id}, t={timestamp})"
+        )
+    return SignalSegment(values, sample_rate, timestamp, source_id)
+
+
+def _sample_line(path: str, index: int) -> int:
+    """Line number of the index-th sample of a CSV segment (blank lines skipped)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    nonblank = [lineno for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    return nonblank[index]
 
 
 def _read_meta(path: str) -> dict:
@@ -149,6 +164,12 @@ def _read_raw_segment(path: str, dtype: str) -> SignalSegment:
         raise DataError(f"{path}: unreadable file: {exc}") from exc
     if samples.size == 0:
         raise DataError(f"{path}: no samples in file")
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise DataError(
+            f"{path}: non-finite sample {samples[bad[0]]} at index {bad[0]} "
+            f"(source {source_id}, t={timestamp})"
+        )
     return SignalSegment(samples.astype(np.float64), sample_rate, timestamp, source_id)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import vibdict.cli as cli
-from vibdict.dictionary import load_dictionary
+from vibdict.dictionary import Atom, Dictionary, load_dictionary, save_dictionary, unit_normalize
 from vibdict.errors import NumericError
 from vibdict.learning import load_history_csv
 from vibdict.metrics import load_indicator_csv, lowpass, mad_series, IndicatorSeries
@@ -121,6 +121,13 @@ class TestTrain:
         assert "non-finite sample" in err
         assert f"source m00, t={timestamp}" in err
 
+    def test_seed_atoms_longer_than_block_is_config_error(self, small_fleet, tmp_path, capsys):
+        code = run(*train_args(small_fleet / "m00", tmp_path / "out", core_len=130))
+        assert code == 2
+        assert "core_len + 2 * pad = 136 samples do not fit in block_len=128" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_does_not_mutate_inputs(self, small_fleet, tmp_path):
         def digest():
             h = hashlib.sha256()
@@ -151,6 +158,17 @@ class TestMonitor:
         for key, value in extra.items():
             args.extend([f"--{key.replace('_', '-')}", value])
         return args
+
+    def test_atom_longer_than_segment_is_data_error(self, small_fleet, tmp_path, capsys):
+        base = tmp_path / "long"
+        base.mkdir()
+        long_atom = Atom(unit_normalize(np.ones(600)), 0)
+        save_dictionary(Dictionary((long_atom,)), str(base / "m00.vdct"))
+        code = run(*self.monitor_args(small_fleet / "m00", base, tmp_path / "mon", atoms=1))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: atom 0 of length 600 does not fit in segment of "
+                              "length 512 (source m00, t=")
 
     def test_history_columns_and_final_dict(self, small_fleet, baseline, tmp_path):
         out = tmp_path / "mon"

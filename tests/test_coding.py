@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vibdict.coding as coding
 from vibdict.coding import (
@@ -15,6 +21,7 @@ from vibdict.coding import (
     select_best,
 )
 from vibdict.dictionary import Atom, Dictionary, init_pseudorandom, unit_normalize
+from vibdict.errors import DataError
 from vibdict.ingest import SignalSegment, preprocess
 
 from oracles import lstsq_amplitudes, naive_correlation, naive_mp, naive_omp
@@ -205,6 +212,66 @@ class TestOmpEncode:
             )
             np.testing.assert_allclose(code.residual, residual, rtol=0, atol=1e-8)
 
+    def test_periodic_signal_ties_break_like_oracle(self):
+        # Every period holds an equally good placement, and a duplicated
+        # atom ties every placement across ids: the picks must take the
+        # lowest id, then the lowest offset, like the exhaustive scan.
+        rng = np.random.default_rng(1)
+        pattern = rng.standard_normal(50)
+        w = unit_normalize(rng.standard_normal(20))
+        x = np.tile(pattern, 20)
+        d = Dictionary((Atom(w, 4), Atom(w.copy(), 2)))
+        code = omp_encode(SignalSegment(x, 1000.0, 0, "m"), d, CodingConfig("omp", n_instances=15))
+        expected, _ = naive_omp(x, {a.id: a.waveform for a in d.atoms}, 15)
+        picks = [(i.atom_id, i.offset) for i in code.instances]
+        assert picks == [e[:2] for e in expected]
+        assert picks[:4] == [(2, 19), (2, 69), (2, 119), (2, 169)]
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from([97, 251]),
+                    st.integers(24, 300).filter(lambda v: v & (v - 1))),
+        shape=st.integers(1, 4).flatmap(lambda m: st.tuples(
+            st.lists(st.integers(2, 24), min_size=m, max_size=m, unique=True),
+            st.lists(st.integers(0, 30), min_size=m, max_size=m, unique=True),
+        )),
+        count=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracle_property(self, n, shape, count, seed):
+        lengths, ids = shape
+        rng = np.random.default_rng(seed)
+        d = Dictionary(tuple(
+            Atom(unit_normalize(rng.standard_normal(length)), atom_id)
+            for length, atom_id in zip(lengths, ids)
+        ))
+        seg = SignalSegment(rng.standard_normal(n), 1000.0, 0, "m")
+        code = omp_encode(seg, d, CodingConfig("omp", n_instances=count))
+        expected, residual = naive_omp(seg.samples, {a.id: a.waveform for a in d.atoms}, count)
+        assert [(i.atom_id, i.offset) for i in code.instances] == [e[:2] for e in expected]
+        np.testing.assert_allclose(
+            [i.amplitude for i in code.instances], [e[2] for e in expected], rtol=0, atol=1e-8
+        )
+        np.testing.assert_allclose(code.residual, residual, rtol=0, atol=1e-8)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        n=st.integers(24, 300),
+        lengths=st.lists(st.integers(2, 24), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_zero_segment_exhausts_without_instances(self, n, lengths, seed):
+        rng = np.random.default_rng(seed)
+        d = Dictionary(tuple(
+            Atom(unit_normalize(rng.standard_normal(length)), atom_id)
+            for atom_id, length in enumerate(lengths)
+        ))
+        code = omp_encode(SignalSegment(np.zeros(n), 1000.0, 0, "m"), d,
+                          CodingConfig("omp", n_instances=5))
+        assert code.instances == ()
+        assert code.exhausted
+        np.testing.assert_array_equal(code.residual, np.zeros(n))
+
     def test_dependent_selection_takes_ridge_fallback(self, monkeypatch):
         # Two copies of one waveform in a segment 3 samples longer: after the
         # 4 distinct placements every further pick duplicates one, so the
@@ -289,6 +356,27 @@ class TestOmpEncode:
         )
 
 
+MP_RUN = """
+import sys
+import numpy as np
+from vibdict.coding import CodingConfig, encode
+from vibdict.dictionary import init_pseudorandom
+from vibdict.ingest import SignalSegment
+seg = SignalSegment(np.random.default_rng(0).standard_normal(512), 1000.0, 0, "m")
+encode(seg, init_pseudorandom(3, core_len=12, pad=3), CodingConfig("mp"))
+print("numpy.fft" in sys.modules)
+"""
+
+
+def test_mp_never_loads_numpy_fft():
+    # numpy.fft loads lazily; only OMP's correlation refresh needs it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coding.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", MP_RUN], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
 class TestEncodeDispatch:
     def test_dispatches_by_algorithm(self):
         rng = np.random.default_rng(13)
@@ -312,6 +400,13 @@ class TestEncodeDispatch:
         seg = SignalSegment(np.ones(10), 100.0, 0, "m")
         with pytest.raises(ValueError, match="fit"):
             encode(seg, d, CodingConfig("mp"))
+
+    @pytest.mark.parametrize("algorithm", ["mp", "omp"])
+    def test_atom_longer_than_segment_is_data_error(self, algorithm):
+        d = Dictionary((Atom(unit_normalize(np.ones(20)), 0),))
+        seg = SignalSegment(np.ones(10), 100.0, 86400, "m00")
+        with pytest.raises(DataError, match=r"does not fit.*\(source m00, t=86400\)"):
+            encode(seg, d, CodingConfig(algorithm))
 
     def test_deterministic_replay(self):
         rng = np.random.default_rng(15)

@@ -139,6 +139,18 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match=r"bad\.csv.*line 3"):
             load_segments(str(path))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_sample_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "seg_00002.csv"
+        lines = ["86400,100.0,m00"] + ["0.5"] * 12
+        lines[4] = ""
+        lines[9] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError,
+                           match=r"seg_00002\.csv: non-finite sample .* at line 10 "
+                                 r"\(source m00, t=86400\)"):
+            load_segments(str(path))
+
     def test_missing_timestamp_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(",100.0,m0\n0.5\n")
@@ -161,6 +173,17 @@ class TestRawRoundTrip:
         assert out.timestamp == 77
         assert out.source_id == "m9"
         np.testing.assert_array_equal(out.samples, seg.samples)
+
+    @pytest.mark.parametrize("fmt", ["raw_f32le", "raw_f64le"])
+    def test_non_finite_sample_names_file_and_index(self, tmp_path, fmt):
+        x = np.ones(32)
+        x[8] = np.nan
+        path = tmp_path / "seg_00002.bin"
+        save_segment_raw(make_segment(x, t=86400, source="m00"), str(path), fmt)
+        with pytest.raises(DataError,
+                           match=r"seg_00002\.bin: non-finite sample nan at index 8 "
+                                 r"\(source m00, t=86400\)"):
+            load_segments(str(path), fmt)
 
     def test_missing_meta_rejected(self, tmp_path):
         path = tmp_path / "seg.bin"
