@@ -19,13 +19,11 @@ from .coding import (
     mp_encode,
     omp_encode,
     reconstruct,
-    select_best,
 )
 from .detect import (
     LabeledWindow,
     RocCurve,
     RocPoint,
-    min_diff_indicator,
     min_diff_series,
     roc_curve,
     series_samples,
@@ -131,7 +129,6 @@ __all__ = [
     "mad_scores",
     "mad_series",
     "maybe_grow",
-    "min_diff_indicator",
     "min_diff_series",
     "monitor_segments",
     "monitor_step",
@@ -143,7 +140,6 @@ __all__ = [
     "roc_curve",
     "sample_blocks",
     "save_dictionary",
-    "select_best",
     "series_samples",
     "slope_indicator",
     "train_baseline",

@@ -8,10 +8,18 @@ atoms plus a residual:
 The triple (m(i), tau_i, a_i) is one atom instance. Both coders greedily
 select the (atom, shift) pair with maximum absolute cross-correlation
 against the current residual and stop after a fixed instance budget
-derived from the configured sparsity level. MP subtracts each selected
-instance from the residual directly; OMP re-fits all selected amplitudes
-by least squares after every selection, which leaves the residual
-orthogonal to the selected shifted atoms.
+derived from the configured sparsity level.
+
+Both pick from one stacked correlation array of shape (M, n - L_min + 1):
+rows in ascending atom id, each holding an atom's correlation with the
+residual at every interior shift, then zeros. One row-major argmax of
+the magnitudes is the pick, with ties going to the lowest atom id, then
+the lowest offset; a top that is not positive means nothing is left.
+The coders differ only in how they fit amplitudes and refresh the array.
+MP subtracts each selected instance from the residual directly and
+recomputes only the window of correlations around it. OMP re-fits all
+selected amplitudes by least squares after every selection, which
+leaves the residual orthogonal to the selected shifted atoms.
 
 OMP solves that least-squares fit exactly but incrementally: it extends
 an inverse Cholesky factor of the Gram matrix by one row per pick, which
@@ -19,10 +27,10 @@ costs O(k^2) at the k-th pick. When a pick makes the selection linearly
 dependent, the new pivot collapses to round-off; if it is not positive,
 the rest of the segment falls back to a ridge-damped solve of the full
 Gram system. OMP still costs more per pick than MP: every amplitude can
-change, so it rebuilds the residual and needs its correlation with every
-atom at every shift, where MP only touches the window around the pick.
-OMP gets those from one FFT of the residual and one batched inverse FFT,
-and re-scores near-ties exactly, so it picks what a plain scan would.
+change, so it rebuilds the residual and refreshes every row of the
+array, where MP only touches the window around the pick. OMP gets those
+rows from one FFT of the residual and one batched inverse FFT, and
+re-scores near-ties exactly, so it picks what a plain scan would.
 
 Only fully interior shifts are valid: an atom's support must lie entirely
 inside the segment, with no partial overlap at the edges.
@@ -125,100 +133,75 @@ def cross_correlate(signal: np.ndarray, atom: Atom) -> np.ndarray:
     return np.correlate(signal, atom.waveform, mode="valid")
 
 
-def _scan_atoms(dictionary: Dictionary):
-    """Atoms in ascending-id order with their original positions.
+def _stacked_correlations(segment: SignalSegment, dictionary: Dictionary):
+    """Atoms in ascending-id order and their correlations with a segment.
 
-    Argmax ties across atoms are broken toward the lowest atom id, so all
-    scans walk this order.
+    Returns (ids, waveforms, corr) with corr of shape (M, n - L_min + 1):
+    row r holds ``np.correlate(x, w_r, "valid")`` for the r-th atom in id
+    order, followed by zeros past its last interior shift. A row-major
+    argmax over this layout breaks ties toward the lowest atom id, then
+    the lowest offset. Raises AtomFitError when an atom is longer than
+    the segment.
     """
-    return sorted(enumerate(dictionary.atoms), key=lambda item: item[1].id)
-
-
-def _argmax_correlation(corr_by_pos, scan_order):
-    """Deterministic argmax of |correlation| over atoms and shifts.
-
-    Ties go to the lowest atom id, then the lowest offset. Returns
-    (position, offset, signed value) or None when every candidate has
-    zero magnitude.
-    """
-    best = None
-    best_abs = 0.0
-    for pos, _atom in scan_order:
-        corr = corr_by_pos[pos]
-        magnitudes = np.abs(corr)
-        offset = int(np.argmax(magnitudes))
-        value = magnitudes[offset]
-        if value > best_abs:
-            best_abs = value
-            best = (pos, offset, float(corr[offset]))
-    return best
-
-
-def select_best(residual: np.ndarray, dictionary: Dictionary) -> AtomInstance | None:
-    """Pick the single best atom instance for a residual.
-
-    Maximizes the absolute inner product over all atoms and all interior
-    shifts; the amplitude keeps the sign of the inner product. Returns
-    None when every correlation is exactly zero (zero residual).
-    """
-    residual = np.asarray(residual, dtype=np.float64)
-    if residual.size == 0:
-        raise ValueError("residual must be nonempty")
-    scan = _scan_atoms(dictionary)
-    corr = {pos: cross_correlate(residual, atom) for pos, atom in scan}
-    hit = _argmax_correlation(corr, scan)
-    if hit is None:
-        return None
-    pos, offset, amplitude = hit
-    return AtomInstance(dictionary.atoms[pos].id, offset, amplitude)
-
-
-def _check_fits(segment: SignalSegment, dictionary: Dictionary) -> None:
-    n = len(segment)
+    x = segment.samples
+    n = x.size
     for atom in dictionary.atoms:
         if len(atom) > n:
             raise AtomFitError(
                 f"atom {atom.id} of length {len(atom)} does not fit in segment of length {n} "
                 f"(source {segment.source_id}, t={segment.timestamp})"
             )
+    atoms = sorted(dictionary.atoms, key=lambda atom: atom.id)
+    ids = [atom.id for atom in atoms]
+    waveforms = [atom.waveform for atom in atoms]
+    corr = np.zeros((len(atoms), n - min(w.size for w in waveforms) + 1))
+    for row, w in enumerate(waveforms):
+        corr[row, : n - w.size + 1] = np.correlate(x, w, mode="valid")
+    return ids, waveforms, corr
+
+
+def _row_major_argmax(magnitudes: np.ndarray):
+    """(row, offset, value) of the first maximum in row-major order."""
+    row, tau = divmod(int(np.argmax(magnitudes)), magnitudes.shape[1])
+    return row, tau, magnitudes[row, tau]
 
 
 def mp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig) -> SparseCode:
     """Matching Pursuit: subtract the best-correlated instance each step.
 
-    After selecting (m, tau, a) the residual is updated in place over the
-    atom's support, R <- R - a * phi_m(. - tau), and only correlation
-    entries whose support overlaps the changed window are recomputed.
+    Picks from the stacked correlation array of
+    :func:`_stacked_correlations`. After selecting (m, tau, a) the
+    residual is updated in place over the atom's support,
+    R <- R - a * phi_m(. - tau), and only the correlation entries whose
+    support overlaps the changed window are recomputed. Those never reach
+    the zero tails, so no mask is needed.
     """
     if cfg.algorithm != MP:
         raise ValueError(f"mp_encode called with algorithm {cfg.algorithm!r}")
-    _check_fits(segment, dictionary)
-    x = segment.samples
-    n = x.size
+    ids, waveforms, corr = _stacked_correlations(segment, dictionary)
+    residual = segment.samples.copy()
+    n = residual.size
     budget = instance_budget(n, cfg)
-    scan = _scan_atoms(dictionary)
-    waveforms = [atom.waveform for atom in dictionary.atoms]
-
-    residual = x.copy()
-    corr = {pos: np.correlate(residual, w, mode="valid") for pos, w in enumerate(waveforms)}
+    magnitudes = np.empty_like(corr)
 
     instances = []
     exhausted = False
     for _ in range(budget):
-        hit = _argmax_correlation(corr, scan)
-        if hit is None:
+        np.abs(corr, out=magnitudes)
+        row, tau, top = _row_major_argmax(magnitudes)
+        if not top > 0.0:
             exhausted = True
             break
-        pos, tau, amplitude = hit
-        w = waveforms[pos]
-        instances.append(AtomInstance(dictionary.atoms[pos].id, tau, amplitude))
+        w = waveforms[row]
+        amplitude = float(corr[row, tau])
+        instances.append(AtomInstance(ids[row], tau, amplitude))
         residual[tau : tau + w.size] -= amplitude * w
 
         for other, ow in enumerate(waveforms):
             lo = max(0, tau - ow.size + 1)
             hi = min(n - ow.size, tau + w.size - 1)
             if lo <= hi:
-                corr[other][lo : hi + 1] = np.correlate(
+                corr[other, lo : hi + 1] = np.correlate(
                     residual[lo : hi + ow.size], ow, mode="valid"
                 )
     return SparseCode(tuple(instances), residual, dictionary.generation, exhausted)
@@ -284,22 +267,20 @@ def _screened_argmax(magnitudes, dead, residual, waveforms, slack):
     decided on the same values as MP's scan. Returns (row, offset,
     magnitude); a magnitude that is not positive means nothing is left.
     """
-    width = magnitudes.shape[1]
-    row, tau = divmod(int(np.argmax(magnitudes)), width)
-    top = magnitudes[row, tau]
+    row, tau, top = _row_major_argmax(magnitudes)
     if dead[row, tau]:
         return row, tau, top
     near = magnitudes >= top - 2.0 * slack
     if top > 2.0 * slack and np.count_nonzero(near) == 1:
         return row, tau, top
     rows = np.flatnonzero(near.any(axis=1))
-    exact = np.full((rows.size, width), -np.inf)
+    exact = np.full((rows.size, magnitudes.shape[1]), -np.inf)
     for i, r in enumerate(rows):
         corr = np.correlate(residual, waveforms[r], mode="valid")
         np.abs(corr, out=exact[i, : corr.size])
     np.copyto(exact, -np.inf, where=dead[rows])
-    i, tau = divmod(int(np.argmax(exact)), width)
-    return int(rows[i]), tau, exact[i, tau]
+    i, tau, top = _row_major_argmax(exact)
+    return int(rows[i]), tau, top
 
 
 def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig) -> SparseCode:
@@ -311,16 +292,16 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
     pair is excluded from later scans since re-picking it adds no new
     basis vector.
 
-    Correlations live in one (M, n - L_min + 1) array with rows in
-    ascending atom id, so one row-major argmax gives the tie-break; a
-    boolean mask kills the offsets past each atom's last interior shift
-    and the placements already selected. The first pick scans the exact
-    ``np.correlate`` values. After that, the residual's correlation with
-    every atom comes from one rfft of the residual, the precomputed
-    conjugate atom spectra and one batched irfft (interior shifts never
-    wrap, so the circular length n suffices); see :func:`_screened_argmax`
-    for how near-ties are re-scored exactly, which keeps the picks those
-    of a plain ``np.correlate`` scan.
+    Picks come from the same stacked correlation array as MP's (see
+    :func:`_stacked_correlations`); a boolean mask kills the zero tails
+    past each atom's last interior shift and the placements already
+    selected. The first pick scans the exact ``np.correlate`` values.
+    After that, the residual's correlation with every atom comes from one
+    rfft of the residual, the precomputed conjugate atom spectra and one
+    batched irfft (interior shifts never wrap, so the circular length n
+    suffices); see :func:`_screened_argmax` for how near-ties are
+    re-scored exactly, which keeps the picks those of a plain
+    ``np.correlate`` scan.
 
     The least-squares fit keeps the inverse Cholesky factor Linv of the
     Gram matrix G = L L^T and z = Linv @ rhs, and grows both by one row
@@ -339,12 +320,9 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
     """
     if cfg.algorithm != OMP:
         raise ValueError(f"omp_encode called with algorithm {cfg.algorithm!r}")
-    _check_fits(segment, dictionary)
+    ids, waveforms, signal_corr = _stacked_correlations(segment, dictionary)
     x = segment.samples
     n = x.size
-    scan = _scan_atoms(dictionary)
-    ids = [atom.id for _, atom in scan]
-    waveforms = [atom.waveform for _, atom in scan]
     table = _cross_table(waveforms)
     lmax = table.shape[2] // 2
     lanes = np.arange(lmax)
@@ -353,11 +331,9 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
         atoms[row, : w.size] = w
     wmax = max(float(np.linalg.norm(w)) for w in waveforms)
 
-    width = n - min(w.size for w in waveforms) + 1
-    signal_corr = np.zeros((len(waveforms), width))
+    width = signal_corr.shape[1]
     dead = np.zeros(signal_corr.shape, dtype=bool)
     for row, w in enumerate(waveforms):
-        signal_corr[row, : n - w.size + 1] = np.correlate(x, w, mode="valid")
         dead[row, n - w.size + 1 :] = True
     budget = instance_budget(n, cfg)
     # Each valid placement is picked at most once, so that count bounds
@@ -383,8 +359,7 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
     for k in range(budget):
         np.copyto(magnitudes, -np.inf, where=dead)
         if k == 0:
-            row, tau = divmod(int(np.argmax(magnitudes)), width)
-            top = magnitudes[row, tau]
+            row, tau, top = _row_major_argmax(magnitudes)
         else:
             slack = FFT_SLACK * float(np.linalg.norm(residual)) * wmax
             row, tau, top = _screened_argmax(magnitudes, dead, residual, waveforms, slack)

@@ -121,35 +121,14 @@ def slope_indicator(series: IndicatorSeries, window: int = DEFAULT_SLOPE_WINDOW)
     )
 
 
-def min_diff_indicator(population, machine: str, t: int) -> float:
-    """Minimum gap between one machine and every other machine at time t.
-
-    Positive exactly when the machine's indicator exceeds all others at
-    that timestamp, which is the fleet-consensus fault signature. Series
-    are matched to machines by their ``name`` field.
-    """
-    by_name = {s.name: s for s in population}
-    if machine not in by_name:
-        raise ValueError(f"machine {machine!r} not in population")
-
-    def value_at(series):
-        idx = np.nonzero(series.timestamps == t)[0]
-        return float(series.values[idx[0]]) if idx.size else None
-
-    own = value_at(by_name[machine])
-    if own is None:
-        raise ValueError(f"machine {machine!r} has no sample at t={t}")
-    others = [value_at(s) for name, s in by_name.items() if name != machine]
-    others = [v for v in others if v is not None]
-    if not others:
-        raise ValueError(f"no other machine has a sample at t={t}")
-    return min(own - v for v in others)
-
-
 def min_diff_series(population) -> dict[str, IndicatorSeries]:
-    """Apply :func:`min_diff_indicator` at every timestamp, per machine.
+    """Minimum gap between each machine and every other machine, per timestamp.
 
-    All series must be aligned on identical timestamps.
+    Point t of machine m's output is min over other machines o of
+    value_m[t] - value_o[t]: positive exactly when m's indicator exceeds
+    all others at t, which is the fleet-consensus fault signature. Series
+    are keyed by their ``name`` field, and all series must be aligned on
+    identical timestamps.
     """
     series = list(population)
     if len(series) < 2:

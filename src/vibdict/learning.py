@@ -150,15 +150,13 @@ class MonitorState:
     """Evolving per-machine monitoring state.
 
     ``dictionary`` is the live (possibly adapting) dictionary,
-    ``baseline`` the fixed reference that distances are measured against.
-    ``snapshots`` holds (timestamp, dictionary) pairs for adaptation-rate
-    computation, one per processed segment.
+    ``baseline`` the fixed reference that distances are measured against,
+    and ``records`` the history, one record per processed segment.
     """
 
     dictionary: Dictionary
     baseline: Dictionary
     records: tuple[HistoryRecord, ...] = ()
-    snapshots: tuple[tuple[int, Dictionary], ...] = ()
 
 
 def monitor_step(
@@ -171,7 +169,7 @@ def monitor_step(
 
     Codes the segment with the live dictionary, records fidelity and the
     distance of the *updated* dictionary from the baseline, then appends
-    a snapshot. With ``eta = 0`` the live dictionary never changes and the
+    the record. With ``eta = 0`` the live dictionary never changes and the
     distance stays constant within float reproducibility.
     """
     code = encode(segment, state.dictionary, coding_cfg)
@@ -183,12 +181,7 @@ def monitor_step(
         distance_deg=dictionary_distance(updated, state.baseline),
         n_instances=len(code.instances),
     )
-    new_state = replace(
-        state,
-        dictionary=updated,
-        records=state.records + (record,),
-        snapshots=state.snapshots + ((segment.timestamp, updated),),
-    )
+    new_state = replace(state, dictionary=updated, records=state.records + (record,))
     return new_state, code
 
 

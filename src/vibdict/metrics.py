@@ -73,11 +73,9 @@ def atom_similarity_beta(a: Atom, b: Atom) -> float:
     return math.degrees(math.acos(atom_coherence(a, b)))
 
 
-def _beta_to_set(atom: Atom, atoms: tuple[Atom, ...]) -> float:
-    """Angle from an atom to the closest member of an atom set."""
-    if not atoms:
-        raise ValueError("cannot compare against an empty dictionary")
-    return min(atom_similarity_beta(atom, other) for other in atoms)
+def _beta_matrix(rows: tuple[Atom, ...], cols: tuple[Atom, ...]) -> list[list[float]]:
+    """Angles beta(a, b) in degrees for every atom a of ``rows`` and b of ``cols``."""
+    return [[atom_similarity_beta(a, b) for b in cols] for a in rows]
 
 
 def dictionary_distance(phi: Dictionary, other: Dictionary) -> float:
@@ -91,11 +89,14 @@ def dictionary_distance(phi: Dictionary, other: Dictionary) -> float:
 
     Zero iff every atom has an exact (up to shift and sign) counterpart.
     Dictionaries of different sizes are averaged over their own counts.
+    Coherence is symmetric, so one matrix of pairwise angles serves both
+    directions: forward minima over its rows, backward over its columns.
     """
     if not phi.atoms or not other.atoms:
         raise ValueError("cannot compare empty dictionaries")
-    forward = sum(_beta_to_set(atom, other.atoms) for atom in phi.atoms) / len(phi.atoms)
-    backward = sum(_beta_to_set(atom, phi.atoms) for atom in other.atoms) / len(other.atoms)
+    beta = _beta_matrix(phi.atoms, other.atoms)
+    forward = sum(min(row) for row in beta) / len(phi.atoms)
+    backward = sum(min(col) for col in zip(*beta)) / len(other.atoms)
     return 0.5 * (forward + backward)
 
 
@@ -108,11 +109,9 @@ def dictionary_spread(phi: Dictionary) -> float:
     """
     if len(phi.atoms) < 2:
         raise ValueError("spread needs at least two atoms")
-    total = 0.0
-    for i, atom in enumerate(phi.atoms):
-        rest = tuple(a for j, a in enumerate(phi.atoms) if j != i)
-        total += _beta_to_set(atom, rest)
-    return total / len(phi.atoms)
+    beta = _beta_matrix(phi.atoms, phi.atoms)
+    nearest = (min(b for j, b in enumerate(row) if j != i) for i, row in enumerate(beta))
+    return sum(nearest) / len(phi.atoms)
 
 
 def adaptation_rate(snapshots, lag: int = 1) -> IndicatorSeries:

@@ -18,7 +18,6 @@ from vibdict.coding import (
     omp_encode,
     reconstruct,
     save_code_csv,
-    select_best,
 )
 from vibdict.dictionary import Atom, Dictionary, init_pseudorandom, unit_normalize
 from vibdict.errors import DataError
@@ -89,24 +88,34 @@ class TestCrossCorrelate:
 
 
 class TestSelectBest:
+    """Selecting the single best pick: MP with a budget of one instance."""
+
     def test_finds_planted_atom(self):
         rng = np.random.default_rng(1)
         d = random_dictionary(rng)
         sig = np.zeros(100)
         atom = d.atoms[1]
         sig[17 : 17 + len(atom)] += -2.5 * atom.waveform
-        best = select_best(sig, d)
+        code = mp_encode(SignalSegment(sig, 1000.0, 0, "m"), d, CodingConfig("mp", n_instances=1))
+        (best,) = code.instances
         assert (best.atom_id, best.offset) == (1, 17)
         assert best.amplitude == pytest.approx(-2.5, abs=1e-12)
+        assert not code.exhausted
 
     def test_zero_residual_returns_none(self):
         rng = np.random.default_rng(2)
-        assert select_best(np.zeros(50), random_dictionary(rng)) is None
+        seg = SignalSegment(np.zeros(50), 1000.0, 0, "m")
+        code = mp_encode(seg, random_dictionary(rng), CodingConfig("mp", n_instances=1))
+        assert code.instances == ()
+        assert code.exhausted
 
     def test_tie_breaks_to_lowest_id_then_offset(self):
+        # Atoms listed in descending id order: the pick must still go to
+        # the lowest id, then the lowest offset.
         w = unit_normalize(np.ones(4))
-        d = Dictionary((Atom(w, 0), Atom(w.copy(), 1)))
-        best = select_best(np.ones(12), d)
+        d = Dictionary((Atom(w, 1), Atom(w.copy(), 0)))
+        seg = SignalSegment(np.ones(12), 1000.0, 0, "m")
+        (best,) = mp_encode(seg, d, CodingConfig("mp", n_instances=1)).instances
         assert (best.atom_id, best.offset) == (0, 0)
 
 
@@ -126,6 +135,33 @@ class TestMpEncode:
                 [a for *_, a in got], [a for *_, a in expected], atol=1e-10
             )
             np.testing.assert_allclose(code.residual, expected_residual, atol=1e-10)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from([97, 251]),
+                    st.integers(24, 300).filter(lambda v: v & (v - 1))),
+        shape=st.integers(1, 4).flatmap(lambda m: st.tuples(
+            st.lists(st.integers(2, 24), min_size=m, max_size=m, unique=True),
+            st.lists(st.integers(0, 30), min_size=m, max_size=m, unique=True),
+        )),
+        count=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracle_property(self, n, shape, count, seed):
+        lengths, ids = shape
+        rng = np.random.default_rng(seed)
+        d = Dictionary(tuple(
+            Atom(unit_normalize(rng.standard_normal(length)), atom_id)
+            for length, atom_id in zip(lengths, ids)
+        ))
+        seg = SignalSegment(rng.standard_normal(n), 1000.0, 0, "m")
+        code = mp_encode(seg, d, CodingConfig("mp", n_instances=count))
+        expected, residual = naive_mp(seg.samples, {a.id: a.waveform for a in d.atoms}, count)
+        assert [(i.atom_id, i.offset) for i in code.instances] == [e[:2] for e in expected]
+        np.testing.assert_allclose(
+            [i.amplitude for i in code.instances], [e[2] for e in expected], rtol=0, atol=1e-10
+        )
+        np.testing.assert_allclose(code.residual, residual, rtol=0, atol=1e-10)
 
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(4)

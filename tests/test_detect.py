@@ -7,7 +7,6 @@ from vibdict.detect import (
     label_of,
     load_labels_csv,
     load_roc_csv,
-    min_diff_indicator,
     min_diff_series,
     roc_curve,
     save_labels_csv,
@@ -102,7 +101,7 @@ class TestSlopeIndicator:
 class TestMinDiff:
     def test_equal_machines_zero(self):
         pop = [series(f"m{k}", np.full(4, 2.0)) for k in range(3)]
-        assert min_diff_indicator(pop, "m1", DAY) == 0.0
+        assert np.all(min_diff_series(pop)["m1"].values == 0.0)
 
     def test_five_above_nearest(self):
         pop = [
@@ -110,39 +109,35 @@ class TestMinDiff:
             series("a", [5.0]),
             series("b", [1.0]),
         ]
-        assert min_diff_indicator(pop, "hot", 0) == 5.0
+        assert min_diff_series(pop)["hot"].values[0] == 5.0
 
     def test_positive_only_when_above_all(self):
         pop = [series("m", [3.0]), series("x", [4.0]), series("y", [1.0])]
-        assert min_diff_indicator(pop, "m", 0) == -1.0
+        assert min_diff_series(pop)["m"].values[0] == -1.0
 
     def test_matches_bruteforce_panel(self):
         rng = np.random.default_rng(1)
         values = rng.standard_normal((6, 10))
         pop = [series(f"m{k}", values[k]) for k in range(6)]
-        for k in range(6):
-            for j in range(10):
-                got = min_diff_indicator(pop, f"m{k}", j * DAY)
-                expected = min(values[k, j] - values[i, j] for i in range(6) if i != k)
-                assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_series_form_matches_pointwise(self):
-        rng = np.random.default_rng(2)
-        values = rng.standard_normal((4, 8))
-        pop = [series(f"m{k}", values[k]) for k in range(4)]
         by_machine = min_diff_series(pop)
-        for k in range(4):
-            for j in range(8):
-                assert by_machine[f"m{k}"].values[j] == pytest.approx(
-                    min_diff_indicator(pop, f"m{k}", j * DAY), abs=1e-12
-                )
+        for k in range(6):
+            got = by_machine[f"m{k}"]
+            np.testing.assert_array_equal(got.timestamps, np.arange(10) * DAY)
+            for j in range(10):
+                expected = min(values[k, j] - values[i, j] for i in range(6) if i != k)
+                assert got.values[j] == pytest.approx(expected, abs=1e-12)
 
-    def test_absent_machine_rejected(self):
-        pop = [series("a", [1.0]), series("b", [2.0])]
-        with pytest.raises(ValueError):
-            min_diff_indicator(pop, "zz", 0)
-        with pytest.raises(ValueError, match="no sample"):
-            min_diff_indicator(pop, "a", 999)
+    def test_fewer_than_two_machines_rejected(self):
+        with pytest.raises(ValueError, match="two machines"):
+            min_diff_series([series("a", [1.0, 2.0])])
+        with pytest.raises(ValueError, match="two machines"):
+            min_diff_series([])
+
+    def test_misaligned_timestamps_rejected(self):
+        a = series("a", [1.0, 2.0])
+        b = IndicatorSeries("b", np.array([0, 2 * DAY]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="not aligned"):
+            min_diff_series([a, b])
 
 
 def two_machine_setup(healthy_values, faulty_values, onset_index):

@@ -217,7 +217,6 @@ class TestMonitor:
         )
         assert state.records[-1].distance_deg > 0.0
         assert state.dictionary.generation == 10
-        assert len(state.snapshots) == 10
 
     def test_distance_measured_after_update(self):
         rng = np.random.default_rng(8)

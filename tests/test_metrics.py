@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vibdict.dictionary import Atom, Dictionary, init_pseudorandom, unit_normalize
 from vibdict.metrics import (
@@ -110,6 +112,23 @@ class TestDictionaryDistance:
                 [x.waveform for x in a.atoms], [x.waveform for x in b.atoms]
             )
             assert dictionary_distance(a, b) == pytest.approx(expected, abs=1e-9)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        lengths_a=st.lists(st.integers(1, 24), min_size=1, max_size=5),
+        lengths_b=st.lists(st.integers(1, 24), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracle_property(self, lengths_a, lengths_b, seed):
+        rng = np.random.default_rng(seed)
+        a = [unit_normalize(rng.standard_normal(length)) for length in lengths_a]
+        b = [unit_normalize(rng.standard_normal(length)) for length in lengths_b]
+        da = Dictionary(tuple(Atom(w, i) for i, w in enumerate(a)))
+        db = Dictionary(tuple(Atom(w, i) for i, w in enumerate(b)))
+        ab = dictionary_distance(da, db)
+        assert ab == pytest.approx(dictionary_distance(db, da), abs=1e-12)
+        assert 0.0 <= ab <= 90.0
+        assert ab == pytest.approx(naive_distance(a, b), abs=1e-9)
 
     def test_relabeling_invariant(self):
         rng = np.random.default_rng(6)
