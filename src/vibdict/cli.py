@@ -22,8 +22,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import typing
 import zlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -63,39 +64,20 @@ class RunConfig:
             raise ConfigError("train_blocks and block_len must be >= 1")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_FIELDS = {"atoms", "core_len", "pad", "train_blocks", "block_len", "seed"}
-_FLOAT_FIELDS = {"sparsity", "eta", "rms_gate"}
+# Field name -> annotated type, which also converts the config file's text.
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def load_config_file(path: str) -> dict:
     """Parse a flat ``key = value`` config file into typed overrides."""
     overrides: dict = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                if key in _INT_FIELDS:
-                    overrides[key] = int(raw)
-                elif key in _FLOAT_FIELDS:
-                    overrides[key] = float(raw)
-                else:
-                    overrides[key] = raw
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
+    for lineno, key, raw in ingest.read_key_values(path, ConfigError):
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            overrides[key] = _FIELD_TYPES[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
     return overrides
 
 
@@ -348,6 +330,10 @@ def cmd_indicators(args) -> int:
         if not records:
             raise DataError(f"{path}: empty history")
         times = np.array([r.timestamp for r in records])
+        repeated = np.flatnonzero(np.diff(times) <= 0)
+        if repeated.size:
+            raise DataError(f"{path}: timestamps must be strictly increasing, got "
+                            f"{times[repeated[0]]} then {times[repeated[0] + 1]}")
         settings = {"time_constant": args.time_constant}
         for column in ("fidelity_db", "distance_deg"):
             raw = np.array([getattr(r, column) for r in records])

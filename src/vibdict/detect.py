@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ContentError, DataError
+from .ingest import read_table
 from .metrics import IndicatorSeries
 
 HEALTHY = "healthy"
@@ -152,7 +153,8 @@ def roc_curve(samples, windows) -> RocCurve:
     Thresholds are +inf, every distinct observed value in descending
     order, then -inf, so the curve always starts at (0, 0) and ends at
     (1, 1) and tied values collapse onto a single operating point. The
-    AUC is the trapezoid integral of TPR over FPR.
+    AUC is the trapezoid integral of TPR over FPR. Counts come from binary
+    searches in each class's sorted values, so the sweep is O(N log N).
     """
     samples = list(samples)
     if not samples:
@@ -171,12 +173,17 @@ def roc_curve(samples, windows) -> RocCurve:
     thresholds = np.concatenate(
         ([np.inf], np.unique(values)[::-1], [-np.inf])
     )
-    points = []
-    for theta in thresholds:
-        pred = values >= theta
-        tp = int(np.sum(pred & truth))
-        fp = int(np.sum(pred & ~truth))
-        points.append(RocPoint(float(theta), fp / n_neg, tp / n_pos))
+    # NaN is never >= theta, and a NaN theta sorts past every number, so
+    # leaving NaN out of the search gives both their counts.
+    ordered = ~np.isnan(values)
+    pos = np.sort(values[truth & ordered])
+    neg = np.sort(values[~truth & ordered])
+    tp = pos.size - np.searchsorted(pos, thresholds, side="left")
+    fp = neg.size - np.searchsorted(neg, thresholds, side="left")
+    points = [
+        RocPoint(float(theta), f / n_neg, t / n_pos)
+        for theta, f, t in zip(thresholds, fp.tolist(), tp.tolist())
+    ]
     fpr = np.array([p.fpr for p in points])
     tpr = np.array([p.tpr for p in points])
     auc = float(np.trapezoid(tpr, fpr))
@@ -201,26 +208,13 @@ def save_labels_csv(windows, path: str) -> None:
 
 
 def load_labels_csv(path: str) -> tuple[LabeledWindow, ...]:
-    """Read a labels CSV written by :func:`save_labels_csv`."""
-    windows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "machine_id,start,end,label":
-            raise DataError(f"{path}: unexpected labels header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                windows.append(
-                    LabeledWindow(parts[0], int(parts[1]), int(parts[2]), parts[3])
-                )
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    validate_windows(windows)
+    """Read a labels CSV written by :func:`save_labels_csv`; overlaps raise ContentError."""
+    windows, _ = read_table(path, "machine_id,start,end,label",
+                            lambda m, start, end, lab: LabeledWindow(m, int(start), int(end), lab))
+    try:
+        validate_windows(windows)
+    except ValueError as exc:
+        raise ContentError(f"{path}: {exc}") from None
     return tuple(windows)
 
 
@@ -235,28 +229,10 @@ def save_roc_csv(curve: RocCurve, path: str) -> None:
 
 def load_roc_csv(path: str) -> RocCurve:
     """Read an ROC CSV written by :func:`save_roc_csv`."""
-    points = []
-    auc = None
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "threshold,fpr,tpr":
-            raise DataError(f"{path}: unexpected ROC header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("auc="):
-                    auc = float(body[4:])
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                points.append(RocPoint(float(parts[0]), float(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    if auc is None:
-        raise DataError(f"{path}: missing '# auc=' footer")
+    points, meta = read_table(path, "threshold,fpr,tpr",
+                              lambda *fields: RocPoint(*map(float, fields)))
+    try:
+        auc = float(meta["auc"])
+    except (KeyError, ValueError):
+        raise DataError(f"{path}: missing or malformed '# auc=' footer") from None
     return RocCurve(tuple(points), auc)

@@ -25,5 +25,13 @@ class AtomFitError(DataError, ValueError):
     """
 
 
+class ContentError(DataError, ValueError):
+    """A file's rows parse but break an invariant, such as overlapping windows.
+
+    The CLI reports it as a data error naming the file; it stays the
+    ValueError that the same check raises on in-memory data.
+    """
+
+
 class NumericError(VibdictError):
     """A computation could not produce a meaningful numeric result."""

@@ -13,6 +13,10 @@ since epoch) and a machine identifier. Two on-disk formats are supported:
 
 Root-mean-square gating operates on raw amplitudes in physical units (G);
 standardization to zero mean and unit variance happens afterwards.
+
+Every other text file of the toolkit (histories, labels, indicators, ROC
+curves, ``.meta`` sidecars and run configs) is read through
+:func:`read_table` or :func:`read_key_values`.
 """
 
 from __future__ import annotations
@@ -126,25 +130,68 @@ def _sample_line(path: str, index: int) -> int:
     return nonblank[index]
 
 
-def _read_meta(path: str) -> dict:
-    meta = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise DataError(f"{path}: malformed metadata at line {lineno}: {text!r}")
-            key, _, value = text.partition("=")
-            meta[key.strip()] = value.strip()
-    return meta
+def _text_lines(path: str, error: type[Exception]) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each line of a UTF-8 text file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
+def read_key_values(path: str, error: type[Exception]) -> list[tuple[int, str, str]]:
+    """(line number, key, value) of each ``key=value`` line of a text file.
+
+    Blank and ``#`` lines are skipped. An unreadable file or a line
+    without ``=`` raises ``error`` with a message naming the file.
+    """
+    entries = []
+    for lineno, text in _text_lines(path, error):
+        if not text or text.startswith("#"):
+            continue
+        key, eq, value = text.partition("=")
+        if not eq:
+            raise error(f"{path}:{lineno}: expected key=value, got {text!r}")
+        entries.append((lineno, key.strip(), value.strip()))
+    return entries
+
+
+def read_table(path: str, header: str, parse) -> tuple[list, dict]:
+    """Rows and ``# key=value`` metadata of a comma-separated text table.
+
+    The first line that is neither blank nor a ``#`` comment must equal
+    ``header``. Every later row must have as many fields as the header
+    and becomes ``parse(*fields)``. Errors are DataErrors naming the file,
+    and the line for a bad row or a ValueError from ``parse``.
+    """
+    rows, meta, width = [], {}, 0
+    for lineno, text in _text_lines(path, DataError):
+        if text.startswith("#"):
+            key, eq, value = text[1:].partition("=")
+            if eq:
+                meta[key.strip()] = value.strip()
+        elif text and not width:
+            if text != header:
+                raise DataError(f"{path}:{lineno}: expected header {header!r}, got {text!r}")
+            width = header.count(",") + 1
+        elif text:
+            fields = text.split(",")
+            if len(fields) != width:
+                raise DataError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
+            try:
+                rows.append(parse(*fields))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    if not width:
+        raise DataError(f"{path}: missing header {header!r}")
+    return rows, meta
 
 
 def _read_raw_segment(path: str, dtype: str) -> SignalSegment:
     meta_path = path + ".meta"
     if not os.path.exists(meta_path):
         raise DataError(f"{path}: missing sidecar metadata file {meta_path}")
-    meta = _read_meta(meta_path)
+    meta = {key: value for _, key, value in read_key_values(meta_path, DataError)}
     if "timestamp" not in meta:
         raise DataError(f"{meta_path}: timestamp missing")
     try:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coding import CodingConfig, SparseCode, encode
 from .dictionary import Atom, Dictionary, maybe_grow, unit_normalize
-from .ingest import SignalSegment
+from .ingest import SignalSegment, read_table
 from .metrics import dictionary_distance, fidelity_db
 
 
@@ -217,24 +217,6 @@ def save_history_csv(records, path: str) -> None:
 
 def load_history_csv(path: str) -> tuple[HistoryRecord, ...]:
     """Read a monitoring history CSV written by :func:`save_history_csv`."""
-    from .errors import DataError
-
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "timestamp,fidelity_db,distance_deg,n_instances":
-            raise DataError(f"{path}: unexpected history header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                records.append(
-                    HistoryRecord(int(parts[0]), float(parts[1]), float(parts[2]), int(parts[3]))
-                )
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    records, _ = read_table(path, "timestamp,fidelity_db,distance_deg,n_instances",
+                            lambda t, f, d, n: HistoryRecord(int(t), float(f), float(d), int(n)))
     return tuple(records)

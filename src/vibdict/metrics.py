@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Atom, Dictionary
+from .errors import ContentError
+from .ingest import read_table
 
 # Fidelity is clamped to +/- FIDELITY_CAP_DB when one side of the ratio
 # underflows, so downstream smoothing always sees finite values.
@@ -238,40 +240,16 @@ def save_indicator_csv(series: IndicatorSeries, path: str, machine: str = "",
 
 def load_indicator_csv(path: str) -> tuple[IndicatorSeries, dict]:
     """Read a ``timestamp,value`` indicator CSV and its header comments."""
-    from .errors import DataError
-
-    meta: dict = {}
-    times: list[int] = []
-    values: list[float] = []
-    saw_header = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            if not saw_header:
-                if line != "timestamp,value":
-                    raise DataError(f"{path}:{lineno}: expected 'timestamp,value' header, got {line!r}")
-                saw_header = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-            try:
-                times.append(int(parts[0]))
-                values.append(float(parts[1]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    if not saw_header:
-        raise DataError(f"{path}: missing 'timestamp,value' header")
-    name = meta.get("kind", "indicator")
-    return IndicatorSeries(name, np.asarray(times), np.asarray(values)), meta
+    rows, meta = read_table(path, "timestamp,value", lambda t, v: (int(t), float(v)))
+    try:
+        series = IndicatorSeries(
+            meta.get("kind", "indicator"),
+            np.asarray([t for t, _ in rows]),
+            np.asarray([v for _, v in rows]),
+        )
+    except ValueError as exc:
+        raise ContentError(f"{path}: {exc}") from None
+    return series, meta
 
 
 def center_frequency(atom: Atom, sample_rate: float) -> float:

@@ -174,6 +174,32 @@ def confusion_at(values, truth, theta):
     return tp, fp, tn, fn
 
 
+def naive_roc(values, truth):
+    """ROC points (threshold, fpr, tpr) from a full confusion tally per threshold.
+
+    Thresholds are +inf, then NaN if any value is NaN (it sorts past every
+    number, so it leads a descending sweep), then every other distinct
+    value in descending order, then -inf. A NaN threshold predicts nothing.
+    """
+    thresholds = [math.inf]
+    if any(math.isnan(v) for v in values):
+        thresholds.append(math.nan)
+    thresholds += sorted({float(v) for v in values if not math.isnan(v)}, reverse=True)
+    thresholds.append(-math.inf)
+    n_pos = sum(1 for is_pos in truth if is_pos)
+    n_neg = len(truth) - n_pos
+    points = []
+    for theta in thresholds:
+        tp, fp, _, _ = confusion_at(values, truth, theta)
+        points.append((theta, fp / n_neg, tp / n_pos))
+    return points
+
+
+def trapezoid_auc(fpr, tpr):
+    """Trapezoid area under the polyline, by explicit loop."""
+    return sum((fpr[i + 1] - fpr[i]) * (tpr[i] + tpr[i + 1]) / 2 for i in range(len(fpr) - 1))
+
+
 def midpoint_auc(fpr, tpr, substeps=20000):
     """Polyline area by midpoint-rule integration of each linear piece.
 

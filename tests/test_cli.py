@@ -342,6 +342,48 @@ class TestIndicatorsAndRoc:
         assert "# auc=1.0" in text
 
 
+class TestFileContentErrors:
+    """Bad rows in a file that parses exit 3 with the file named on stderr."""
+
+    def write_indicator(self, path, times):
+        path.write_text("timestamp,value\n" + "".join(f"{t},0.5\n" for t in times))
+        return path
+
+    def write_labels(self, path, rows):
+        path.write_text("machine_id,start,end,label\n" + "".join(f"{r}\n" for r in rows))
+        return path
+
+    def assert_data_error(self, code, capsys, path):
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("data error: ")
+        assert str(path) in err
+
+    def test_history_repeated_timestamp(self, tmp_path, capsys):
+        hist = tmp_path / "hist"
+        hist.mkdir()
+        path = hist / "m00_history.csv"
+        path.write_text("timestamp,fidelity_db,distance_deg,n_instances\n"
+                        "100,10.0,0.5,3\n100,11.0,0.6,3\n")
+        code = run("indicators", "--history", hist, "--output", tmp_path / "out")
+        self.assert_data_error(code, capsys, path)
+
+    def test_indicator_decreasing_timestamps(self, tmp_path, capsys):
+        path = self.write_indicator(tmp_path / "m00.csv", [200, 100])
+        labels = self.write_labels(tmp_path / "labels.csv", ["m00,0,1000,healthy"])
+        code = run("roc", "--indicators", path, "--labels", labels,
+                   "--output", tmp_path / "roc.csv")
+        self.assert_data_error(code, capsys, path)
+
+    def test_labels_overlapping_windows(self, tmp_path, capsys):
+        indicator = self.write_indicator(tmp_path / "m00.csv", [100, 200])
+        path = self.write_labels(tmp_path / "labels.csv",
+                                 ["m00,0,150,healthy", "m00,120,1000,faulty"])
+        code = run("roc", "--indicators", indicator, "--labels", path,
+                   "--output", tmp_path / "roc.csv")
+        self.assert_data_error(code, capsys, path)
+
+
 class TestConfigHandling:
     def test_config_file_and_flag_precedence(self, small_fleet, tmp_path):
         config = tmp_path / "run.cfg"

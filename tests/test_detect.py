@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vibdict.detect import (
     LabeledWindow,
@@ -18,7 +22,7 @@ from vibdict.detect import (
 from vibdict.errors import DataError
 from vibdict.metrics import IndicatorSeries
 
-from oracles import confusion_at, midpoint_auc, ols_slope
+from oracles import confusion_at, midpoint_auc, naive_roc, ols_slope, trapezoid_auc
 
 DAY = 86400
 
@@ -231,6 +235,36 @@ class TestRocCurve:
         ]
         with pytest.raises(DataError, match="falls in 0"):
             roc_curve([("m0", 10, 1.0), ("m1", 10, 2.0), ("m0", 500, 3.0)], windows)
+
+
+class TestRocOracle:
+    # a small pool makes ties and repeats common; it holds both zeros,
+    # both infinities and NaN
+    VALUES = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, math.inf, -math.inf, math.nan]),
+        st.integers(-4, 4).map(float),
+        st.floats(-1e6, 1e6),
+    )
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(VALUES, st.booleans()), min_size=2, max_size=40))
+    def test_matches_brute_force_tally(self, rows):
+        truth = [is_pos for _, is_pos in rows]
+        assume(any(truth) and not all(truth))
+        values = [v for v, _ in rows]
+        samples = [("m", t, v) for t, v in enumerate(values)]
+        windows = [
+            LabeledWindow("m", t, t + 1, "faulty" if is_pos else "healthy")
+            for t, is_pos in enumerate(truth)
+        ]
+        curve = roc_curve(samples, windows)
+        expected = naive_roc(values, truth)
+        assert len(curve.points) == len(expected)
+        for point, (theta, fpr, tpr) in zip(curve.points, expected):
+            assert point.threshold == theta or (math.isnan(point.threshold) and math.isnan(theta))
+            assert (point.fpr, point.tpr) == (fpr, tpr)
+        fpr, tpr = [p[1] for p in expected], [p[2] for p in expected]
+        assert curve.auc == pytest.approx(trapezoid_auc(fpr, tpr), abs=1e-12)
 
 
 class TestRocPoint:

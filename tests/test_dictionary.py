@@ -1,5 +1,11 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vibdict.dictionary import (
     Atom,
@@ -165,3 +171,36 @@ class TestSerialization:
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="version"):
             load_dictionary(str(path))
+
+
+class TestSerializationProperty:
+    # every float64 bit pattern, NaN payloads included, must survive
+    WAVEFORM = st.integers(1, 200).flatmap(
+        lambda n: arrays(np.uint64, n).map(lambda bits: bits.view(np.float64))
+    )
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8, unique=True),
+        st.data(),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_round_trip_and_every_truncation(self, ids, data, generation):
+        atoms = tuple(Atom(data.draw(self.WAVEFORM), atom_id) for atom_id in ids)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.vdct")
+            save_dictionary(Dictionary(atoms, generation), path)
+            out = load_dictionary(path)
+            assert out.generation == generation
+            assert [a.id for a in out.atoms] == ids
+            for a, b in zip(out.atoms, atoms):
+                assert a.waveform.tobytes() == b.waveform.tobytes()
+            with open(path, "ab") as fh:
+                fh.write(b"\x00")
+            with pytest.raises(DataError, match="trailing"):
+                load_dictionary(path)
+            # every strict prefix, longest first, by cutting the file in place
+            for size in reversed(range(os.path.getsize(path) - 1)):
+                os.truncate(path, size)
+                with pytest.raises(DataError):
+                    load_dictionary(path)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from vibdict.errors import DataError
+from vibdict.errors import ConfigError, DataError
 from vibdict.ingest import (
     SegmentGate,
     SignalSegment,
     gate_by_rms,
     load_segments,
     preprocess,
+    read_key_values,
+    read_table,
     rms,
     sample_blocks,
     save_segment_csv,
@@ -242,3 +244,47 @@ class TestSampleBlocks:
     def test_empty_pool_rejected(self):
         with pytest.raises(DataError):
             sample_blocks([], 8, 1, seed=0)
+
+
+class TestTextReaders:
+    def test_table_rows_and_metadata(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\n# note\n# kind = slope\na,b\n1,x\n\n# auc=0.5\n2,y\n")
+        rows, meta = read_table(str(path), "a,b", lambda a, b: (int(a), b))
+        assert rows == [(1, "x"), (2, "y")]
+        assert meta == {"kind": "slope", "auc": "0.5"}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", r"t\.csv: missing header 'a,b'"),
+            ("# only=comments\n", r"t\.csv: missing header"),
+            ("b,a\n1,2\n", r"t\.csv:1: expected header 'a,b', got 'b,a'"),
+            ("a,b\n1,2\n1,2,3\n", r"t\.csv:3: expected 2 fields, got 3"),
+            ("a,b\n1,2\n\nq,2\n", r"t\.csv:4: invalid literal for int"),
+        ],
+    )
+    def test_table_errors_name_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            read_table(str(path), "a,b", lambda a, b: (int(a), int(b)))
+
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n\xff,1\n")
+        with pytest.raises(DataError, match=r"cannot read .*t\.csv"):
+            read_table(str(path), "a,b", lambda a, b: (a, b))
+
+    def test_key_values(self, tmp_path):
+        path = tmp_path / "k.cfg"
+        path.write_text("# comment\n\n a = 1 \nb=x=y\n")
+        assert read_key_values(str(path), DataError) == [(3, "a", "1"), (4, "b", "x=y")]
+
+    def test_key_values_raise_the_given_error(self, tmp_path):
+        path = tmp_path / "k.cfg"
+        path.write_text("a=1\nnot a pair\n")
+        with pytest.raises(ConfigError, match=r"k\.cfg:2: expected key=value"):
+            read_key_values(str(path), ConfigError)
+        with pytest.raises(DataError, match=r"cannot read .*missing\.cfg"):
+            read_key_values(str(tmp_path / "missing.cfg"), DataError)
