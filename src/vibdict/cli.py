@@ -156,23 +156,33 @@ class MachineTask:
     dump_codes: bool = False
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
+def _check_jobs(jobs: int | None) -> None:
+    if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
 
 
-def _run_per_machine(worker, tasks: list[MachineTask], jobs: int) -> list:
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_per_machine(worker, tasks: list[MachineTask], jobs: int | None) -> list:
     """Run ``worker`` on every task and return the results in task order.
 
-    With ``jobs > 1`` and several machines, ``min(jobs, machines)`` worker
-    processes each run whole machines, one at a time. The first failure in
-    task order is re-raised here, with its original type and message.
+    ``min(jobs, machines)`` worker processes each run whole machines, one
+    at a time; ``jobs=None`` means one per usable CPU. A single worker runs
+    the tasks in this process. The first failure in task order is
+    re-raised here, with its original type and message.
     """
-    if jobs == 1 or len(tasks) <= 1:
+    workers = min(_usable_cpus() if jobs is None else jobs, len(tasks))
+    if workers <= 1:
         return [worker(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -255,6 +265,10 @@ def monitor_one(task: MachineTask) -> tuple[int, learning.HistoryRecord | None]:
     own = _baseline_for(machine, task.baseline, cfg)
     live = _load_baseline(task.foreign, cfg) if task.mode == "foreign" else own
     _, _, prepared = _prepared_segments(task.indir, task.fmt, cfg)
+    for before, after in zip(prepared, prepared[1:]):
+        if before.timestamp == after.timestamp:
+            raise DataError(f"{task.indir}: two segments at timestamp {after.timestamp}; "
+                            f"monitor needs one segment per timestamp")
     state = learning.MonitorState(live, own)
     codes_dir = os.path.join(cfg.output, f"{machine}_codes")
     if task.dump_codes:
@@ -445,9 +459,10 @@ def _add_common_flags(sub, with_io=True):
         sub.add_argument("--output", default=None, help="output directory")
         sub.add_argument("--format", choices=sorted(ingest.FORMATS), default="csv",
                          help="segment file format")
-        sub.add_argument("--jobs", type=int, default=1,
+        sub.add_argument("--jobs", type=int, default=None,
                          help="worker processes, each running whole machines "
-                              "(1: run in this process)")
+                              "(default: one per usable CPU, at most one per "
+                              "machine; 1: run in this process)")
 
 
 def build_parser() -> argparse.ArgumentParser:

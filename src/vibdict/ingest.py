@@ -79,53 +79,55 @@ def rms(samples: np.ndarray) -> float:
 
 
 def _read_csv_segment(path: str) -> SignalSegment:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.strip():
-            raise DataError(f"{path}: empty file, expected metadata header")
-        fields = [f.strip() for f in header.strip().split(",")]
-        if len(fields) != 3:
-            raise DataError(
-                f"{path}: header must be 'timestamp,sample_rate,source_id', "
-                f"got {len(fields)} field(s)"
-            )
-        try:
-            timestamp = int(fields[0])
-        except ValueError:
-            raise DataError(f"{path}: timestamp missing or not an integer: {fields[0]!r}") from None
-        try:
-            sample_rate = float(fields[1])
-        except ValueError:
-            raise DataError(f"{path}: sample_rate not a number: {fields[1]!r}") from None
-        source_id = fields[2]
-        if not source_id:
-            raise DataError(f"{path}: empty source_id in header")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    header = lines[0] if lines else ""
+    if not header.strip():
+        raise DataError(f"{path}: empty file, expected metadata header")
+    fields = [f.strip() for f in header.strip().split(",")]
+    if len(fields) != 3:
+        raise DataError(
+            f"{path}: header must be 'timestamp,sample_rate,source_id', "
+            f"got {len(fields)} field(s)"
+        )
+    try:
+        timestamp = int(fields[0])
+    except ValueError:
+        raise DataError(f"{path}: timestamp missing or not an integer: {fields[0]!r}") from None
+    try:
+        sample_rate = float(fields[1])
+    except ValueError:
+        raise DataError(f"{path}: sample_rate not a number: {fields[1]!r}") from None
+    source_id = fields[2]
+    if not source_id:
+        raise DataError(f"{path}: empty source_id in header")
 
-        samples = []
-        for lineno, line in enumerate(fh, start=2):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                samples.append(float(text))
-            except ValueError:
-                raise DataError(f"{path}: malformed sample at line {lineno}: {text!r}") from None
+    samples = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            samples.append(float(text))
+        except ValueError:
+            raise DataError(f"{path}: malformed sample at line {lineno}: {text!r}") from None
     if not samples:
         raise DataError(f"{path}: no samples after header")
     values = np.array(samples)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise DataError(
-            f"{path}: non-finite sample {values[bad[0]]} at line {_sample_line(path, bad[0])} "
+            f"{path}: non-finite sample {values[bad[0]]} at line {_sample_line(lines, bad[0])} "
             f"(source {source_id}, t={timestamp})"
         )
     return SignalSegment(values, sample_rate, timestamp, source_id)
 
 
-def _sample_line(path: str, index: int) -> int:
+def _sample_line(lines: list[str], index: int) -> int:
     """Line number of the index-th sample of a CSV segment (blank lines skipped)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
     nonblank = [lineno for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
     return nonblank[index]
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import multiprocessing
 import os
@@ -200,6 +201,34 @@ class TestMonitor:
         assert pooled_out == serial_out
         assert serial_out.count("6 segments") == 2
 
+    def test_non_utf8_segment_is_data_error(self, small_fleet, baseline, tmp_path,
+                                            capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        path = small_fleet / "m00" / "seg_00001.csv"
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+        outcomes = []
+        for jobs in ([], ["--jobs", 1]):
+            code = run(*self.monitor_args(small_fleet, baseline, tmp_path / "mon"), *jobs)
+            outcomes.append((code, capsys.readouterr().err))
+        (code, err), serial = outcomes
+        assert serial == (code, err)
+        assert code == 3
+        assert err.startswith(f"data error: cannot read {path}: 'utf-8' codec can't decode")
+
+    def test_repeated_timestamp_rejected_before_coding(self, small_fleet, baseline,
+                                                       tmp_path, capsys):
+        machine = small_fleet / "m00"
+        (machine / "seg_00001b.csv").write_bytes((machine / "seg_00001.csv").read_bytes())
+        out = tmp_path / "mon"
+        assert run(*self.monitor_args(small_fleet, baseline, out)) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {machine}: two segments at timestamp 43200; "
+            f"monitor needs one segment per timestamp\n")
+        assert not (out / "m00_history.csv").exists()
+        # Training samples blocks, not a time series, so it keeps both.
+        assert run(*train_args(small_fleet, tmp_path / "base2")) == 0
+
     def test_machine_task_pickles_for_any_start_method(self, small_fleet, baseline, tmp_path):
         def task(output):
             (tmp_path / output).mkdir()
@@ -273,6 +302,89 @@ class TestMonitor:
         assert len(files) == 6
         first = files[0].read_text().splitlines()
         assert first[0] == "atom_id,offset,amplitude"
+
+
+class TestDefaultJobs:
+    """Without --jobs, machines fan out over min(usable CPUs, machines) workers."""
+
+    def pipeline_outputs(self, fleet, out, jobs):
+        assert run(*train_args(fleet, out / "base"), *jobs) == 0
+        assert run("monitor", "--input", fleet, "--baseline", out / "base",
+                   "--output", out / "mon", "--atoms", 2, "--eta", "1e-3",
+                   "--seed", 11, *jobs) == 0
+        return {
+            str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*"))
+            if path.is_file() and path.name != "effective_config.txt"
+        }
+
+    def test_default_matches_in_process_bytewise(self, small_fleet, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        serial = self.pipeline_outputs(small_fleet, tmp_path / "serial", ["--jobs", 1])
+        serial_out = capsys.readouterr().out
+        pooled = self.pipeline_outputs(small_fleet, tmp_path / "pooled", [])
+        assert capsys.readouterr().out == serial_out
+        assert serial_out.count("trained 2 atoms") == 2
+        assert serial_out.count("6 segments") == 2
+        assert set(serial) == {
+            f"{stage}/{machine}{suffix}"
+            for machine in ("m00", "m01")
+            for stage, suffix in [("base", ".vdct"), ("base", "_train_log.csv"),
+                                  ("mon", "_history.csv"), ("mon", "_final.vdct")]
+        }
+        assert pooled == serial
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        """Record each pool's max_workers; run its tasks in this process."""
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return created
+
+    @pytest.mark.parametrize("command", ["train", "monitor"])
+    @pytest.mark.parametrize("affinity, cpu_count, jobs, machine, expected", [
+        (64, 64, [], "", [2]),
+        (1, 64, [], "", []),
+        (None, 64, [], "", [2]),
+        (None, 1, [], "", []),
+        (None, None, [], "", []),
+        (64, 64, [], "m00", []),
+        (64, 64, ["--jobs", 1], "", []),
+        (1, 1, ["--jobs", 3], "", [2]),
+    ])
+    def test_worker_count(self, small_fleet, tmp_path, monkeypatch, pools, command,
+                          affinity, cpu_count, jobs, machine, expected):
+        fleet = small_fleet / machine
+        if command == "monitor":
+            assert run(*train_args(fleet, tmp_path / "base"), "--jobs", 1) == 0
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                                raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        if command == "train":
+            code = run(*train_args(fleet, tmp_path / "base"), *jobs)
+        else:
+            code = run("monitor", "--input", fleet, "--baseline", tmp_path / "base",
+                       "--output", tmp_path / "mon", "--atoms", 2, *jobs)
+        assert code == 0
+        assert pools == expected
 
 
 class TestDistance:

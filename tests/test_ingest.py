@@ -153,6 +153,15 @@ class TestCsvRoundTrip:
                                  r"\(source m00, t=86400\)"):
             load_segments(str(path))
 
+    def test_non_utf8_segment_names_file(self, tmp_path):
+        save_segment_csv(make_segment(np.ones(4), t=5), str(tmp_path / "a.csv"))
+        path = tmp_path / "b.csv"
+        save_segment_csv(make_segment(np.ones(4), t=6), str(path))
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+        with pytest.raises(DataError, match=r"cannot read .*b\.csv: 'utf-8' codec"):
+            load_segments(str(tmp_path))
+
     def test_missing_timestamp_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(",100.0,m0\n0.5\n")
