@@ -15,22 +15,31 @@ rows in ascending atom id, each holding an atom's correlation with the
 residual at every interior shift, then zeros. One row-major argmax of
 the magnitudes is the pick, with ties going to the lowest atom id, then
 the lowest offset; a top that is not positive means nothing is left.
-The coders differ only in how they fit amplitudes and refresh the array.
-MP subtracts each selected instance from the residual directly and
-recomputes only the window of correlations around it. OMP re-fits all
-selected amplitudes by least squares after every selection, which
-leaves the residual orthogonal to the selected shifted atoms.
+
+After a pick, both coders refresh the array the same way: they take the
+span of residual samples that the pick changed and recompute, for every
+atom, only the shifts whose support overlaps that span. ``np.correlate``
+at shift t reads only residual[t : t + L] and the atom, so every entry
+outside that window already holds, bit for bit, what a full recompute
+would give. The array is therefore always exact, and each pick is the
+one a plain scan of every shift would make.
+
+The coders differ only in how they fit amplitudes, and so in the span a
+pick changes. MP subtracts each selected instance from the residual
+directly, so the span is the pick's support. OMP re-fits all selected
+amplitudes by least squares after every selection, which leaves the
+residual orthogonal to the selected shifted atoms. In exact arithmetic a
+refit moves the residual only under the selected placements that the
+new one overlaps, directly or through a chain of overlaps. OMP does not
+rely on that: it compares the new residual with the previous one and
+takes the first and last samples that differ.
 
 OMP solves that least-squares fit exactly but incrementally: it extends
 an inverse Cholesky factor of the Gram matrix by one row per pick, which
 costs O(k^2) at the k-th pick. When a pick makes the selection linearly
 dependent, the new pivot collapses to round-off; if it is not positive,
 the rest of the segment falls back to a ridge-damped solve of the full
-Gram system. OMP still costs more per pick than MP: every amplitude can
-change, so it rebuilds the residual and refreshes every row of the
-array, where MP only touches the window around the pick. OMP gets those
-rows from one FFT of the residual and one batched inverse FFT, and
-re-scores near-ties exactly, so it picks what a plain scan would.
+Gram system.
 
 Only fully interior shifts are valid: an atom's support must lie entirely
 inside the segment, with no partial overlap at the edges.
@@ -55,12 +64,6 @@ ALGORITHMS = (MP, OMP)
 # Diagonal damping applied to the OMP Gram system when it is not
 # numerically positive definite: lambda = RIDGE_SCALE * trace(G) / k.
 RIDGE_SCALE = 1e-12
-
-# OMP screens candidates with FFT correlations, which differ from the
-# np.correlate values by round-off of order eps * log2(n) * ||r|| * ||w||.
-# The screen treats them as exact to within FFT_SLACK * ||r|| * max ||w||,
-# more than 100 times that bound.
-FFT_SLACK = 1e-11
 
 
 @dataclass(frozen=True)
@@ -166,15 +169,31 @@ def _row_major_argmax(magnitudes: np.ndarray):
     return row, tau, magnitudes[row, tau]
 
 
+def _refresh_window(corr, residual, waveforms, first, last):
+    """Recompute every correlation that reads residual[first : last + 1].
+
+    For the atom of length L in each row, the shifts lo..hi with
+    lo = max(0, first - L + 1) and hi = min(n - L, last) are recomputed
+    with ``np.correlate`` over residual[lo : hi + L]. No other entry reads
+    those samples, so it already equals a full recompute, bit for bit.
+    """
+    n = residual.size
+    for row, w in enumerate(waveforms):
+        lo = max(0, first - w.size + 1)
+        hi = min(n - w.size, last)
+        if lo <= hi:
+            corr[row, lo : hi + 1] = np.correlate(residual[lo : hi + w.size], w, mode="valid")
+
+
 def mp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig) -> SparseCode:
     """Matching Pursuit: subtract the best-correlated instance each step.
 
     Picks from the stacked correlation array of
     :func:`_stacked_correlations`. After selecting (m, tau, a) the
     residual is updated in place over the atom's support,
-    R <- R - a * phi_m(. - tau), and only the correlation entries whose
-    support overlaps the changed window are recomputed. Those never reach
-    the zero tails, so no mask is needed.
+    R <- R - a * phi_m(. - tau), and :func:`_refresh_window` recomputes
+    the correlations that read that support. Those never reach the zero
+    tails, so no mask is needed.
     """
     if cfg.algorithm != MP:
         raise ValueError(f"mp_encode called with algorithm {cfg.algorithm!r}")
@@ -196,14 +215,7 @@ def mp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig)
         amplitude = float(corr[row, tau])
         instances.append(AtomInstance(ids[row], tau, amplitude))
         residual[tau : tau + w.size] -= amplitude * w
-
-        for other, ow in enumerate(waveforms):
-            lo = max(0, tau - ow.size + 1)
-            hi = min(n - ow.size, tau + w.size - 1)
-            if lo <= hi:
-                corr[other, lo : hi + 1] = np.correlate(
-                    residual[lo : hi + ow.size], ow, mode="valid"
-                )
+        _refresh_window(corr, residual, waveforms, tau, tau + w.size - 1)
     return SparseCode(tuple(instances), residual, dictionary.generation, exhausted)
 
 
@@ -256,33 +268,6 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise NumericError(f"Gram system of size {k} not solvable even with ridge damping") from exc
 
 
-def _screened_argmax(magnitudes, dead, residual, waveforms, slack):
-    """Row-major argmax of exact |correlation| from FFT-screened magnitudes.
-
-    ``magnitudes`` holds |FFT correlations|, each within ``slack`` of the
-    value ``np.correlate`` gives, with dead entries at -inf. The FFT
-    winner stands when no other live candidate, and not zero, lies within
-    2 * slack of it. Otherwise every row holding a candidate that close is
-    re-scored with ``np.correlate``, so near-ties and exhaustion are
-    decided on the same values as MP's scan. Returns (row, offset,
-    magnitude); a magnitude that is not positive means nothing is left.
-    """
-    row, tau, top = _row_major_argmax(magnitudes)
-    if dead[row, tau]:
-        return row, tau, top
-    near = magnitudes >= top - 2.0 * slack
-    if top > 2.0 * slack and np.count_nonzero(near) == 1:
-        return row, tau, top
-    rows = np.flatnonzero(near.any(axis=1))
-    exact = np.full((rows.size, magnitudes.shape[1]), -np.inf)
-    for i, r in enumerate(rows):
-        corr = np.correlate(residual, waveforms[r], mode="valid")
-        np.abs(corr, out=exact[i, : corr.size])
-    np.copyto(exact, -np.inf, where=dead[rows])
-    i, tau, top = _row_major_argmax(exact)
-    return int(rows[i]), tau, top
-
-
 def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig) -> SparseCode:
     """Orthogonal Matching Pursuit over the selected shifted-atom set.
 
@@ -293,15 +278,16 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
     basis vector.
 
     Picks come from the same stacked correlation array as MP's (see
-    :func:`_stacked_correlations`); a boolean mask kills the zero tails
-    past each atom's last interior shift and the placements already
-    selected. The first pick scans the exact ``np.correlate`` values.
-    After that, the residual's correlation with every atom comes from one
-    rfft of the residual, the precomputed conjugate atom spectra and one
-    batched irfft (interior shifts never wrap, so the circular length n
-    suffices); see :func:`_screened_argmax` for how near-ties are
-    re-scored exactly, which keeps the picks those of a plain
-    ``np.correlate`` scan.
+    :func:`_stacked_correlations`); its magnitudes are -inf at the zero
+    tails past each atom's last interior shift and at the placements
+    already selected. In exact arithmetic the refit changes the residual
+    only under the run of selected placements that overlap the new one,
+    directly or in a chain. After each pick the new residual is compared
+    with the previous one, and :func:`_refresh_window` recomputes the
+    correlations that read the samples between the first and the last
+    that differ; the dead placements in those columns are masked again.
+    Every other entry is already what ``np.correlate`` over the whole
+    residual gives, so the picks are those of a plain scan.
 
     The least-squares fit keeps the inverse Cholesky factor Linv of the
     Gram matrix G = L L^T and z = Linv @ rhs, and grows both by one row
@@ -329,9 +315,7 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
     atoms = np.zeros((len(waveforms), lmax))
     for row, w in enumerate(waveforms):
         atoms[row, : w.size] = w
-    wmax = max(float(np.linalg.norm(w)) for w in waveforms)
 
-    width = signal_corr.shape[1]
     dead = np.zeros(signal_corr.shape, dtype=bool)
     for row, w in enumerate(waveforms):
         dead[row, n - w.size + 1 :] = True
@@ -353,20 +337,17 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
     amplitudes = np.empty(0)
     residual = x.copy()
     exhausted = False
-    magnitudes = np.abs(signal_corr)
-    spectra = None
+    corr = signal_corr.copy()
+    magnitudes = np.abs(corr)
+    np.copyto(magnitudes, -np.inf, where=dead)
 
     for k in range(budget):
-        np.copyto(magnitudes, -np.inf, where=dead)
-        if k == 0:
-            row, tau, top = _row_major_argmax(magnitudes)
-        else:
-            slack = FFT_SLACK * float(np.linalg.norm(residual)) * wmax
-            row, tau, top = _screened_argmax(magnitudes, dead, residual, waveforms, slack)
+        row, tau, top = _row_major_argmax(magnitudes)
         if not top > 0.0:
             exhausted = True
             break
         dead[row, tau] = True
+        magnitudes[row, tau] = -np.inf
         sel_row[k], sel_tau[k] = row, tau
         support[k] = np.minimum(tau + lanes, n - 1)
         shapes[k] = atoms[row]
@@ -391,12 +372,15 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
             amplitudes = _solve_gram(gram, rhs[: k + 1])
 
         weights = amplitudes[:, None] * shapes[: k + 1]
+        previous = residual
         residual = x - np.bincount(support[: k + 1].ravel(), weights.ravel(), minlength=n)
-        if k + 1 < budget:
-            if spectra is None:
-                spectra = np.conj(np.fft.rfft(atoms, n=n, axis=1))
-            corr = np.fft.irfft(np.fft.rfft(residual) * spectra, n=n, axis=1)
-            np.abs(corr[:, :width], out=magnitudes)
+        changed = np.flatnonzero(residual != previous)
+        if k + 1 < budget and changed.size:
+            first, last = changed[0], changed[-1]
+            _refresh_window(corr, residual, waveforms, first, last)
+            columns = slice(max(0, first - lmax + 1), last + 1)
+            np.abs(corr[:, columns], out=magnitudes[:, columns])
+            np.copyto(magnitudes[:, columns], -np.inf, where=dead[:, columns])
 
     instances = tuple(
         AtomInstance(ids[row], int(tau), float(a))

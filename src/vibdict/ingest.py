@@ -21,6 +21,7 @@ curves, ``.meta`` sidecars and run configs) is read through
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -97,10 +98,7 @@ def _read_csv_segment(path: str) -> SignalSegment:
         timestamp = int(fields[0])
     except ValueError:
         raise DataError(f"{path}: timestamp missing or not an integer: {fields[0]!r}") from None
-    try:
-        sample_rate = float(fields[1])
-    except ValueError:
-        raise DataError(f"{path}: sample_rate not a number: {fields[1]!r}") from None
+    sample_rate = _sample_rate(path, fields[1])
     source_id = fields[2]
     if not source_id:
         raise DataError(f"{path}: empty source_id in header")
@@ -124,6 +122,17 @@ def _read_csv_segment(path: str) -> SignalSegment:
             f"(source {source_id}, t={timestamp})"
         )
     return SignalSegment(values, sample_rate, timestamp, source_id)
+
+
+def _sample_rate(path: str, text: str) -> float:
+    """A header's sample rate; a DataError naming the file unless it is positive and finite."""
+    try:
+        rate = float(text)
+    except ValueError:
+        raise DataError(f"{path}: sample_rate missing or not a number: {text!r}") from None
+    if not (rate > 0 and math.isfinite(rate)):
+        raise DataError(f"{path}: sample_rate must be positive and finite, got {text!r}")
+    return rate
 
 
 def _sample_line(lines: list[str], index: int) -> int:
@@ -200,10 +209,7 @@ def _read_raw_segment(path: str, dtype: str) -> SignalSegment:
         timestamp = int(meta["timestamp"])
     except ValueError:
         raise DataError(f"{meta_path}: timestamp not an integer: {meta['timestamp']!r}") from None
-    try:
-        sample_rate = float(meta.get("sample_rate", ""))
-    except ValueError:
-        raise DataError(f"{meta_path}: sample_rate missing or not a number") from None
+    sample_rate = _sample_rate(meta_path, meta.get("sample_rate", ""))
     source_id = meta.get("source_id", "")
     if not source_id:
         raise DataError(f"{meta_path}: source_id missing")

@@ -471,6 +471,20 @@ class TestFileContentErrors:
         assert err.startswith("data error: ")
         assert str(path) in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "raw_f32le"])
+    def test_segment_bad_sample_rate(self, tmp_path, capsys, fmt):
+        machine = tmp_path / "fleet" / "m00"
+        machine.mkdir(parents=True)
+        if fmt == "csv":
+            path = machine / "seg_00000.csv"
+            path.write_text("0,nan,m00\n" + "0.5\n" * 256)
+        else:
+            np.ones(256, dtype="<f4").tofile(str(machine / "seg_00000.bin"))
+            path = machine / "seg_00000.bin.meta"
+            path.write_text("timestamp=0\nsample_rate=inf\nsource_id=m00\n")
+        code = run(*train_args(machine, tmp_path / "base", format=fmt))
+        self.assert_data_error(code, capsys, path)
+
     def test_history_repeated_timestamp(self, tmp_path, capsys):
         hist = tmp_path / "hist"
         hist.mkdir()

@@ -391,6 +391,132 @@ class TestOmpEncode:
             atol=1e-6 * np.linalg.norm(seg.samples),
         )
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        layout=st.integers(24, 72).flatmap(lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(1, n // 6), min_size=1, max_size=3),
+        )),
+        fraction=st.sampled_from([0.5, 0.75, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dense_budget_matches_oracle_property(self, layout, fraction, seed):
+        # Atoms longer than half the segment overlap at every placement, so
+        # each refit can move the residual under all earlier picks. The
+        # budget takes half to all of the valid placements, at most n / 2.
+        n, placements = layout
+        rng = np.random.default_rng(seed)
+        ids = rng.choice(30, size=len(placements), replace=False)
+        d = Dictionary(tuple(
+            Atom(unit_normalize(rng.standard_normal(n - p + 1)), int(atom_id))
+            for p, atom_id in zip(placements, ids)
+        ))
+        seg = SignalSegment(rng.standard_normal(n), 1000.0, 0, "m")
+        count = int(np.ceil(fraction * sum(placements)))
+        code = omp_encode(seg, d, CodingConfig("omp", n_instances=count))
+        expected, residual = naive_omp(seg.samples, {a.id: a.waveform for a in d.atoms}, count)
+        picks = [(i.atom_id, i.offset) for i in code.instances]
+        assert picks == [e[:2] for e in expected]
+        np.testing.assert_allclose(
+            [i.amplitude for i in code.instances], [e[2] for e in expected], rtol=0, atol=1e-8
+        )
+        np.testing.assert_allclose(code.residual, residual, rtol=0, atol=1e-8)
+        if count == sum(placements):
+            for atom in d.atoms:
+                assert {(atom.id, 0), (atom.id, n - len(atom))} <= set(picks)
+
+    def test_duplicated_atom_matches_oracle_through_ridge_fallback(self):
+        # Two copies of one waveform, with every placement of both in the
+        # budget: past the distinct placements each pick is dependent, so
+        # the Gram matrix turns singular and the ridge solve takes over.
+        # Picks among those are round-off ties, so only the distinct ones
+        # and the residual, the projection onto one span, are compared.
+        sizes, fallbacks = [], []
+        real_solve = coding._solve_gram
+
+        def spy(gram, rhs):
+            sizes.append(gram.shape[0])
+            return real_solve(gram, rhs)
+
+        @settings(derandomize=True, max_examples=30, deadline=None)
+        @given(length=st.integers(4, 24), placements=st.integers(2, 8),
+               seed=st.integers(0, 2**32 - 1))
+        def check(length, placements, seed):
+            rng = np.random.default_rng(seed)
+            w = unit_normalize(rng.standard_normal(length))
+            low, high = sorted(int(i) for i in rng.choice(30, size=2, replace=False))
+            d = Dictionary((Atom(w, high), Atom(w.copy(), low)))
+            n = length + placements - 1
+            seg = SignalSegment(rng.standard_normal(n), 1000.0, 0, "m")
+            sizes.clear()
+            code = omp_encode(seg, d, CodingConfig("omp", n_instances=2 * placements))
+            fallbacks.append(bool(sizes))
+            expected, residual = naive_omp(seg.samples, {a.id: a.waveform for a in d.atoms},
+                                           2 * placements)
+            picks = [(i.atom_id, i.offset) for i in code.instances]
+            assert picks[:placements] == [e[:2] for e in expected[:placements]]
+            assert {(low, 0), (low, n - length)} <= set(picks[:placements])
+            assert len(set(picks)) == len(picks)
+            np.testing.assert_allclose(code.residual, residual, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(
+                reconstruct(code.instances, d, n) + code.residual, seg.samples, atol=1e-9
+            )
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coding, "_solve_gram", spy)
+            check()
+        assert sum(fallbacks) > len(fallbacks) // 2
+
+
+class TestWindowRefresh:
+    """The changed-span refresh leaves the array a full recompute would give."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(16, 160),
+        shape=st.integers(1, 4).flatmap(lambda m: st.tuples(
+            st.lists(st.integers(2, 16), min_size=m, max_size=m),
+            st.lists(st.integers(0, 30), min_size=m, max_size=m, unique=True),
+        )),
+        kind=st.sampled_from(["gaussian", "quantised", "periodic", "duplicated"]),
+        sparsity=st.sampled_from([0.9, 0.7, 0.5, 0.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_refresh_of_every_shift(self, n, shape, kind, sparsity, seed):
+        lengths, ids = shape
+        rng = np.random.default_rng(seed)
+        if kind == "quantised":
+            waveforms = [0.5 * rng.choice([-1.0, 1.0], size=length) for length in lengths]
+            x = rng.integers(-3, 4, size=n).astype(float)
+        else:
+            waveforms = [unit_normalize(rng.standard_normal(length)) for length in lengths]
+            x = rng.standard_normal(n)
+        if kind == "periodic":
+            x = np.resize(x[: int(rng.integers(2, 12))], n)
+        if kind == "duplicated":
+            waveforms[-1] = waveforms[0].copy()
+        d = Dictionary(tuple(Atom(w, atom_id) for w, atom_id in zip(waveforms, ids)))
+        seg = SignalSegment(x, 1000.0, 0, "m")
+        real_refresh = coding._refresh_window
+
+        def refresh_every_shift(corr, residual, waveforms, first, last):
+            # A full refresh may change nothing outside the window.
+            before = corr.copy()
+            real_refresh(corr, residual, waveforms, 0, residual.size - 1)
+            outside = np.ones(corr.shape, dtype=bool)
+            for row, w in enumerate(waveforms):
+                outside[row, max(0, first - w.size + 1) : last + 1] = False
+            assert corr[outside].tobytes() == before[outside].tobytes()
+
+        for algorithm in ("mp", "omp"):
+            cfg = CodingConfig(algorithm, sparsity=sparsity)
+            windowed = encode(seg, d, cfg)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(coding, "_refresh_window", refresh_every_shift)
+                full = encode(seg, d, cfg)
+            assert [repr(i) for i in windowed.instances] == [repr(i) for i in full.instances]
+            assert windowed.residual.tobytes() == full.residual.tobytes()
+            assert windowed.exhausted == full.exhausted
+
 
 MP_RUN = """
 import sys
@@ -410,6 +536,15 @@ def test_mp_never_loads_numpy_fft():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", MP_RUN], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
+def test_omp_never_loads_numpy_fft():
+    # Both coders refresh their correlations with np.correlate only.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coding.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", MP_RUN.replace('"mp"', '"omp"')], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
 
 

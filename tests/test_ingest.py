@@ -162,6 +162,14 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match=r"cannot read .*b\.csv: 'utf-8' codec"):
             load_segments(str(tmp_path))
 
+    @pytest.mark.parametrize("rate", ["0", "nan", "-5", "inf"])
+    def test_bad_sample_rate_names_file(self, tmp_path, rate):
+        path = tmp_path / "seg_00003.csv"
+        path.write_text(f"0,{rate},m00\n0.5\n0.25\n")
+        with pytest.raises(DataError,
+                           match=r"seg_00003\.csv: sample_rate must be positive and finite"):
+            load_segments(str(tmp_path))
+
     def test_missing_timestamp_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(",100.0,m0\n0.5\n")
@@ -207,6 +215,15 @@ class TestRawRoundTrip:
         np.ones(4).tofile(str(path))
         (tmp_path / "seg.bin.meta").write_text("sample_rate=100.0\nsource_id=m\n")
         with pytest.raises(DataError, match="timestamp"):
+            load_segments(str(path), "raw_f64le")
+
+    @pytest.mark.parametrize("rate", ["0", "nan", "-5", "inf"])
+    def test_bad_sample_rate_names_sidecar(self, tmp_path, rate):
+        path = tmp_path / "seg.bin"
+        np.ones(4).tofile(str(path))
+        (tmp_path / "seg.bin.meta").write_text(f"timestamp=0\nsample_rate={rate}\nsource_id=m\n")
+        with pytest.raises(DataError,
+                           match=r"seg\.bin\.meta: sample_rate must be positive and finite"):
             load_segments(str(path), "raw_f64le")
 
     def test_mixed_directory_ignores_other_format(self, tmp_path):
