@@ -164,9 +164,10 @@ def _stacked_correlations(segment: SignalSegment, dictionary: Dictionary):
 
 
 def _row_major_argmax(magnitudes: np.ndarray):
-    """(row, offset, value) of the first maximum in row-major order."""
-    row, tau = divmod(int(np.argmax(magnitudes)), magnitudes.shape[1])
-    return row, tau, magnitudes[row, tau]
+    """(row, offset, value) of the first maximum in row-major order, as Python numbers."""
+    flat = int(magnitudes.argmax())
+    row, tau = divmod(flat, magnitudes.shape[1])
+    return row, tau, magnitudes.item(flat)
 
 
 def _refresh_window(corr, residual, waveforms, first, last):
@@ -212,7 +213,7 @@ def mp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig)
             exhausted = True
             break
         w = waveforms[row]
-        amplitude = float(corr[row, tau])
+        amplitude = corr.item(row, tau)
         instances.append(AtomInstance(ids[row], tau, amplitude))
         residual[tau : tau + w.size] -= amplitude * w
         _refresh_window(corr, residual, waveforms, tau, tau + w.size - 1)
@@ -222,16 +223,17 @@ def mp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig)
 def _cross_table(waveforms) -> np.ndarray:
     """Cross-correlations of every atom pair at every lag, zero-padded.
 
-    table[p, q, d + L_max - 1] is the inner product of atom p placed at
+    table[p, q, d + L_max] is the inner product of atom p placed at
     offset tau with atom q placed at offset tau + d, for |d| < L_max. The
-    last column stays zero and stands for every lag at which the two
-    supports do not overlap.
+    first and the last column stay zero: every lag at or beyond -L_max or
+    L_max, where the two supports cannot overlap, is clamped onto one of
+    them.
     """
     lmax = max(w.size for w in waveforms)
-    table = np.zeros((len(waveforms), len(waveforms), 2 * lmax))
+    table = np.zeros((len(waveforms), len(waveforms), 2 * lmax + 1))
     for p, w_p in enumerate(waveforms):
         for q, w_q in enumerate(waveforms):
-            start = lmax - w_q.size
+            start = lmax - w_q.size + 1
             table[p, q, start : start + w_p.size + w_q.size - 1] = np.correlate(
                 w_p, w_q, mode="full"
             )
@@ -241,8 +243,9 @@ def _cross_table(waveforms) -> np.ndarray:
 def _gram_lookup(table: np.ndarray, pos_a, tau_a, pos_b, tau_b) -> np.ndarray:
     """Gram entries <phi_a(. - tau_a), phi_b(. - tau_b)>, broadcast over inputs."""
     lmax = table.shape[2] // 2
-    lag = tau_b - tau_a
-    index = np.where(np.abs(lag) < lmax, lag + lmax - 1, 2 * lmax - 1)
+    index = np.asarray(tau_b - (tau_a - lmax))
+    np.maximum(index, 0, out=index)
+    np.minimum(index, 2 * lmax, out=index)
     return table[pos_a, pos_b, index]
 
 
@@ -356,7 +359,7 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
         if factored:
             g = _gram_lookup(table, row, tau, sel_row[:k], sel_tau[:k])
             v = linv[:k, :k] @ g
-            pivot = table[row, row, lmax - 1] - float(v @ v)
+            pivot = table[row, row, lmax] - float(v @ v)
             factored = pivot > 0.0 and math.isfinite(pivot)
         if factored:
             lam = math.sqrt(pivot)

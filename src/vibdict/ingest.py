@@ -69,8 +69,8 @@ class SegmentGate:
     rms_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.rms_threshold < 0:
-            raise ValueError("rms_threshold must be >= 0")
+        if not (math.isfinite(self.rms_threshold) and self.rms_threshold >= 0):
+            raise ValueError(f"rms_threshold must be finite and >= 0, got {self.rms_threshold}")
 
 
 def rms(samples: np.ndarray) -> float:

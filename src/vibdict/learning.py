@@ -13,6 +13,7 @@ distinguishes frozen monitoring from adaptive monitoring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,10 +41,10 @@ class LearnConfig:
     grow: bool = True
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
-        if self.noise_var <= 0:
-            raise ValueError("noise_var must be positive")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+        if not (math.isfinite(self.noise_var) and self.noise_var > 0):
+            raise ValueError(f"noise_var must be positive and finite, got {self.noise_var}")
         if self.tail_len < 1:
             raise ValueError("tail_len must be >= 1")
         if not 0 < self.tail_ratio < 1:

@@ -166,8 +166,8 @@ def lowpass(values: np.ndarray, time_constant: float) -> np.ndarray:
     y[t] = alpha * y[t-1] + (1 - alpha) * x[t] with
     alpha = exp(-1 / time_constant), time measured in samples.
     """
-    if time_constant <= 0:
-        raise ValueError("time_constant must be positive")
+    if not (math.isfinite(time_constant) and time_constant > 0):
+        raise ValueError(f"time_constant must be positive and finite, got {time_constant}")
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("values must be a nonempty 1-D array")

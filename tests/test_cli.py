@@ -3,13 +3,22 @@ import hashlib
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 import vibdict.cli as cli
-from vibdict.dictionary import Atom, Dictionary, load_dictionary, save_dictionary, unit_normalize
+from vibdict.dictionary import (
+    Atom,
+    Dictionary,
+    init_pseudorandom,
+    load_dictionary,
+    save_dictionary,
+    unit_normalize,
+)
 from vibdict.errors import NumericError
 from vibdict.learning import load_history_csv
 from vibdict.metrics import load_indicator_csv, lowpass, mad_series, IndicatorSeries
@@ -549,6 +558,81 @@ class TestConfigHandling:
         assert cli.main(["distance", "a", "b"]) == 4
         assert "numeric" in capsys.readouterr().err
 
+
+class TestNonFiniteFlags:
+    """A nan or inf float flag exits 2 naming it instead of turning into nan output."""
+
+    @pytest.mark.parametrize("command, flag, value, name", [
+        ("train", "--eta", "nan", "eta"),
+        ("monitor", "--eta", "inf", "eta"),
+        ("monitor", "--rms-gate", "nan", "rms_gate"),
+        ("indicators", "--time-constant", "nan", "time_constant"),
+    ])
+    def test_rejected_with_exit_2(self, small_fleet, tmp_path, capsys, command, flag, value,
+                                  name):
+        out = tmp_path / "out"
+        if command == "train":
+            argv = train_args(small_fleet, out)
+        elif command == "monitor":
+            baseline = tmp_path / "base.vdct"
+            save_dictionary(init_pseudorandom(2, 12, 3, 11), str(baseline))
+            argv = ["monitor", "--input", small_fleet, "--baseline", baseline,
+                    "--output", out, "--atoms", 2]
+        else:
+            history = tmp_path / "hist"
+            history.mkdir()
+            (history / "m00_history.csv").write_text(
+                "timestamp,fidelity_db,distance_deg,n_instances\n"
+                + "".join(f"{100 * t},10.0,{0.1 * t},3\n" for t in range(1, 6))
+            )
+            argv = ["indicators", "--history", history, "--output", out]
+        capsys.readouterr()
+        assert run(*argv, flag, value) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {name} must be ")
+        assert captured.err.endswith(f"got {value}\n")
+
+
+class TestProcessEntry:
+    """``python -m vibdict.cli`` runs ``main`` through ``entry`` in a fresh process."""
+
+    SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+    def spawn(self, *argv):
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        return subprocess.run([sys.executable, *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_exit_codes_and_output(self, tmp_path, capsys):
+        good = tmp_path / "good.vdct"
+        save_dictionary(init_pseudorandom(2, 12, 3, 11), str(good))
+        bad = tmp_path / "bad.vdct"
+        bad.write_bytes(b"junk")
+        cases = [
+            (["distance", good, good], 0, "0.000000\n", ""),
+            (["train", "--input", tmp_path, "--output", tmp_path / "o", "--eta", "nan"], 2,
+             "", "config error: eta must be finite and >= 0, got nan\n"),
+            (["distance", bad, good], 3,
+             "", f"data error: {bad}: bad magic b'junk', not a dictionary file\n"),
+        ]
+        for argv, code, stdout, stderr in cases:
+            done = self.spawn("-m", "vibdict.cli", *argv)
+            assert (done.returncode, done.stdout, done.stderr) == (code, stdout, stderr)
+            capsys.readouterr()
+            assert run(*argv) == code
+            assert capsys.readouterr() == (stdout, stderr)
+
+    def test_freezes_import_time_objects_before_main(self):
+        probe = (
+            "import gc, sys\n"
+            "import vibdict.cli as cli\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "cli.main = lambda argv=None: print(gc.get_freeze_count() > 0) or 5\n"
+            "sys.exit(cli.entry())\n"
+        )
+        done = self.spawn("-c", probe)
+        assert (done.returncode, done.stdout, done.stderr) == (5, "True\n", "")
 
 class TestAtomInfo:
     def test_prints_per_atom_lines(self, small_fleet, tmp_path, capsys):

@@ -518,6 +518,44 @@ class TestWindowRefresh:
             assert windowed.exhausted == full.exhausted
 
 
+
+class TestGramLookup:
+    """Gram entries read from the clamped cross table equal shifted inner products."""
+
+    @staticmethod
+    def brute_force(waveforms, p, tau_p, q, tau_q, size):
+        a = np.zeros(size)
+        b = np.zeros(size)
+        a[tau_p : tau_p + waveforms[p].size] = waveforms[p]
+        b[tau_q : tau_q + waveforms[q].size] = waveforms[q]
+        return float(a @ b)
+
+    def test_every_lag_through_and_past_the_longest_atom(self):
+        rng = np.random.default_rng(29)
+        waveforms = [rng.standard_normal(length) for length in (3, 7, 5)]
+        table = coding._cross_table(waveforms)
+        lmax = 7
+        base = lmax + 2
+        lags = np.arange(-lmax - 1, lmax + 2)
+        size = base + 2 * lmax + 2
+        for p in range(3):
+            for q in range(3):
+                expected = [self.brute_force(waveforms, p, base, q, base + d, size) for d in lags]
+                scalar = [float(coding._gram_lookup(table, p, base, q, base + int(d)))
+                          for d in lags]
+                np.testing.assert_allclose(scalar, expected, rtol=1e-12, atol=1e-12)
+                rows = np.full(lags.size, q)
+                array = coding._gram_lookup(table, p, base, rows, base + lags)
+                np.testing.assert_allclose(array, expected, rtol=1e-12, atol=1e-12)
+        # The fallback's broadcast form: every selected pair at once.
+        sel_row = np.array([0, 1, 2, 1, 0])
+        sel_tau = np.array([base, base + lmax, base - lmax, base + 3, base - 1])
+        gram = coding._gram_lookup(table, sel_row[:, None], sel_tau[:, None], sel_row, sel_tau)
+        expected = [[self.brute_force(waveforms, p, tau_p, q, tau_q, size)
+                     for q, tau_q in zip(sel_row, sel_tau)]
+                    for p, tau_p in zip(sel_row, sel_tau)]
+        np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=1e-12)
+
 MP_RUN = """
 import sys
 import numpy as np
@@ -531,7 +569,7 @@ print("numpy.fft" in sys.modules)
 
 
 def test_mp_never_loads_numpy_fft():
-    # numpy.fft loads lazily; only OMP's correlation refresh needs it.
+    # numpy.fft loads lazily, and MP's correlation refresh never asks for it.
     src = os.path.dirname(os.path.dirname(os.path.abspath(coding.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", MP_RUN], env=env, capture_output=True,

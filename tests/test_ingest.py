@@ -53,6 +53,11 @@ class TestGate:
         seg = make_segment(np.full(16, 0.5))
         assert gate_by_rms([seg], SegmentGate(0.5)) == []
 
+    @pytest.mark.parametrize("threshold", [-0.1, float("nan"), float("inf")])
+    def test_threshold_must_be_finite_and_non_negative(self, threshold):
+        with pytest.raises(ValueError, match="rms_threshold"):
+            SegmentGate(threshold)
+
     def test_matches_bruteforce_filter(self):
         rng = np.random.default_rng(42)
         segments = []

@@ -90,6 +90,16 @@ class TestGradientDirections:
                 assert np.linalg.norm(fd - analytic) / denom < 1e-4
 
 
+class TestLearnConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("eta", -1e-3), ("eta", float("nan")), ("eta", float("inf")),
+        ("noise_var", 0.0), ("noise_var", float("nan")), ("noise_var", float("inf")),
+    ])
+    def test_out_of_range_or_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LearnConfig(**{field: value})
+
+
 class TestGradientUpdate:
     def test_eta_zero_returns_same_object(self):
         rng = np.random.default_rng(0)

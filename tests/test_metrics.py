@@ -203,6 +203,11 @@ class TestLowpass:
         x = np.array([7.0, 0.0, 0.0])
         assert lowpass(x, 10.0)[0] == 7.0
 
+    @pytest.mark.parametrize("tc", [0.0, -1.0, math.nan, math.inf])
+    def test_time_constant_must_be_positive_and_finite(self, tc):
+        with pytest.raises(ValueError, match="time_constant"):
+            lowpass(np.ones(3), tc)
+
     def test_step_response_converges(self):
         x = np.concatenate([np.zeros(1), np.ones(400)])
         y = lowpass(x, 10.0)
