@@ -21,10 +21,13 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import math
 import os
+import pickle
 import sys
 import typing
+import warnings
 import zlib
 from dataclasses import asdict, dataclass, replace
 
@@ -143,9 +146,11 @@ def _prepared_segments(indir: str, fmt: str, cfg: RunConfig):
 class MachineTask:
     """One machine's work for ``train_one`` or ``monitor_one``.
 
-    Holds the resolved config and the few flags the workers read, so it
-    pickles and a worker process needs nothing else from the parent.
-    The fields after ``fmt`` are read by ``monitor_one`` only.
+    Holds the resolved config and the few flags the workers read. The CLI
+    hands tasks to forked children, which inherit them unpickled, but a
+    task still pickles, so library callers can send it to any worker
+    process, spawned ones included. The fields after ``fmt`` are read by
+    ``monitor_one`` only.
     """
 
     machine: str
@@ -174,18 +179,111 @@ def _usable_cpus() -> int:
 def _run_per_machine(worker, tasks: list[MachineTask], jobs: int | None) -> list:
     """Run ``worker`` on every task and return the results in task order.
 
-    ``min(jobs, machines)`` worker processes each run whole machines, one
-    at a time; ``jobs=None`` means one per usable CPU. A single worker runs
-    the tasks in this process. The first failure in task order is
-    re-raised here, with its original type and message.
+    Each task runs in a forked child of its own, with at most
+    ``min(jobs, machines)`` children alive at once; ``jobs=None`` means one
+    per usable CPU. Children inherit ``worker`` and the tasks, so neither
+    is pickled; each sends back one pickled outcome over its own pipe. One
+    worker, or a platform without ``os.fork``, runs the tasks serially in
+    this process. Every forked machine runs even when one fails; then the
+    first failure in task order is re-raised here, with its original type
+    and message.
     """
     workers = min(_usable_cpus() if jobs is None else jobs, len(tasks))
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [worker(task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
+    outcomes = _fork_per_machine(worker, tasks, workers)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+
+def _fork_per_machine(worker, tasks: list[MachineTask],
+                      workers: int) -> list[tuple[bool, object]]:
+    """Fork one child per task, ``workers`` at a time; (ok, value) per task.
+
+    The parent reads whichever pipe is ready, so a child never blocks on a
+    full pipe, and it reaps every child before it returns or raises.
+    """
+    import select
+    import signal
+
+    outcomes: list = [None] * len(tasks)
+    running: dict[int, tuple[int, int, list[bytes]]] = {}  # read fd -> (index, pid, chunks)
+    queue = iter(enumerate(tasks))
+    sys.stdout.flush()  # so no child inherits and repeats buffered output
+    sys.stderr.flush()
+    try:
+        while True:
+            for index, task in itertools.islice(queue, workers - len(running)):
+                read_fd, write_fd = os.pipe()
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns when other threads exist, such as
+                    # BLAS workers; OpenBLAS stops its pool before a fork.
+                    warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                            DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    os.close(read_fd)
+                    _run_in_child(worker, task, write_fd)
+                os.close(write_fd)
+                running[read_fd] = (index, pid, [])
+            if not running:
+                return outcomes
+            for fd in select.select(list(running), [], [])[0]:
+                index, pid, chunks = running[fd]
+                chunk = os.read(fd, 1 << 20)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                del running[fd]
+                os.close(fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                outcomes[index] = _child_outcome(tasks[index].machine, b"".join(chunks), code)
+    finally:
+        for fd, (_, pid, _) in running.items():
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_in_child(worker, task: MachineTask, write_fd: int) -> typing.NoReturn:
+    """Run one task, write its pickled (ok, value) to ``write_fd`` and exit.
+
+    Any exception, interrupts included, goes to the parent, which re-raises
+    it. ``os._exit`` skips the exit handlers and ``finally`` blocks, which
+    belong to the parent.
+    """
+    code = 1
+    try:
+        try:
+            outcome = (True, worker(task))
+        except BaseException as exc:
+            outcome = (False, exc)
+        try:
+            payload = pickle.dumps(outcome)
+        except Exception as exc:
+            payload = pickle.dumps((False, RuntimeError(
+                f"machine {task.machine!r}: cannot pickle the worker's {outcome[1]!r} ({exc})")))
+        with open(write_fd, "wb") as fh:
+            fh.write(payload)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _child_outcome(machine: str, payload: bytes, code: int) -> tuple[bool, object]:
+    """(ok, value) from a reaped child's exit code and pipe bytes."""
+    if code:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        return False, RuntimeError(f"the worker for machine {machine!r} {how}")
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:
+        return False, RuntimeError(
+            f"machine {machine!r}: cannot unpickle the worker's outcome ({exc!r})")
 
 
 def train_one(task: MachineTask) -> tuple[float, int]:
@@ -436,15 +534,17 @@ def cmd_synth(args) -> int:
 
 def cmd_atom_info(args) -> int:
     d = dictionary.load_dictionary(args.dict)
-    print(f"{args.dict}: {len(d.atoms)} atoms, generation {d.generation}")
+    lines = [f"{args.dict}: {len(d.atoms)} atoms, generation {d.generation}"]
     for atom in d.atoms:
         norm = float(np.linalg.norm(atom.waveform))
         peak = metrics.peak_frequency(atom, args.sample_rate)
         centroid = metrics.center_frequency(atom, args.sample_rate)
-        print(
+        lines.append(
             f"atom {atom.id}: length {len(atom)}, norm {norm:.6f}, "
             f"peak {peak:.1f} Hz, centroid {centroid:.1f} Hz"
         )
+    # All lines are built first, so a bad --sample-rate prints nothing.
+    print("\n".join(lines))
     return 0
 
 

@@ -252,10 +252,14 @@ def load_indicator_csv(path: str) -> tuple[IndicatorSeries, dict]:
     return series, meta
 
 
+def _check_sample_rate(sample_rate: float) -> None:
+    if not (math.isfinite(sample_rate) and sample_rate > 0):
+        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
+
+
 def center_frequency(atom: Atom, sample_rate: float) -> float:
     """Spectral centroid of an atom in Hz (power-weighted mean frequency)."""
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
+    _check_sample_rate(sample_rate)
     spectrum = np.abs(np.fft.rfft(atom.waveform)) ** 2
     freqs = np.fft.rfftfreq(len(atom), d=1.0 / sample_rate)
     total = float(np.sum(spectrum))
@@ -266,8 +270,7 @@ def center_frequency(atom: Atom, sample_rate: float) -> float:
 
 def peak_frequency(atom: Atom, sample_rate: float) -> float:
     """Frequency of the magnitude-spectrum peak of an atom, in Hz."""
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
+    _check_sample_rate(sample_rate)
     magnitude = np.abs(np.fft.rfft(atom.waveform))
     freqs = np.fft.rfftfreq(len(atom), d=1.0 / sample_rate)
     return float(freqs[int(np.argmax(magnitude))])

@@ -43,6 +43,8 @@ class FaultSpec:
             raise ValueError("impulse_period must be >= 1")
         if not 0.0 < self.impulse_decay < 1.0:
             raise ValueError("impulse_decay must be in (0, 1)")
+        if not math.isfinite(self.impulse_amp):
+            raise ValueError(f"impulse_amp must be finite, got {self.impulse_amp}")
 
 
 @dataclass(frozen=True, eq=False)

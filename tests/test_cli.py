@@ -1,10 +1,11 @@
-import concurrent.futures
 import hashlib
 import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -19,13 +20,23 @@ from vibdict.dictionary import (
     save_dictionary,
     unit_normalize,
 )
-from vibdict.errors import NumericError
+from vibdict.errors import ConfigError, DataError, NumericError
 from vibdict.learning import load_history_csv
 from vibdict.metrics import load_indicator_csv, lowpass, mad_series, IndicatorSeries
 
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def spawn(*argv):
+    """Run ``python *argv`` in a fresh process that imports vibdict from ``SRC``."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture()
@@ -346,23 +357,14 @@ class TestDefaultJobs:
 
     @pytest.fixture()
     def pools(self, monkeypatch):
-        """Record each pool's max_workers; run its tasks in this process."""
+        """Record each fan-out's worker count; run its tasks in this process."""
         created = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                created.append(max_workers)
+        def recording_fork(worker, tasks, workers):
+            created.append(workers)
+            return [(True, worker(task)) for task in tasks]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_fork_per_machine", recording_fork)
         return created
 
     @pytest.mark.parametrize("command", ["train", "monitor"])
@@ -394,6 +396,152 @@ class TestDefaultJobs:
                        "--output", tmp_path / "mon", "--atoms", 2, *jobs)
         assert code == 0
         assert pools == expected
+
+
+class NeedsTwoArguments(Exception):
+    """Pickles, but cannot be rebuilt from its pickle: __init__ wants two arguments."""
+
+    def __init__(self, machine, detail):
+        super().__init__(f"{machine}: {detail}")
+
+
+def fleet_tasks(*machines):
+    return [cli.MachineTask(machine, "", cli.RunConfig(), "csv") for machine in machines]
+
+
+class TestForkedWorkers:
+    """Each machine runs in a forked child; outcomes come back over its pipe."""
+
+    def test_corrupt_segment_in_later_machine_matches_serial(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        fleet = tmp_path / "fleet"
+        assert run("synth", "--output", fleet, "--machines", 3, "--segments", 6,
+                   "--segment-len", 512, "--fault-machine", -1, "--seed", 11) == 0
+        path = sorted((fleet / "m01").glob("*.csv"))[2]
+        lines = path.read_text().splitlines()
+        lines[10] = "nan"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        outcomes = {}
+        for name, jobs in [("forked", []), ("serial", ["--jobs", 1])]:
+            code = run(*train_args(fleet, tmp_path / name), *jobs)
+            outcomes[name] = (code, capsys.readouterr())
+        assert outcomes["forked"] == outcomes["serial"]
+        code, (out, err) = outcomes["forked"]
+        assert (code, out) == (3, "")
+        assert err.startswith(f"data error: {path}:") and "non-finite sample" in err
+        # Every machine ran in the fan-out; the serial run stopped at m01.
+        assert {p.name for p in (tmp_path / "forked").glob("*.vdct")} == {"m00.vdct", "m02.vdct"}
+        assert {p.name for p in (tmp_path / "serial").glob("*.vdct")} == {"m00.vdct"}
+
+    def test_killed_worker_names_machine_and_leaves_no_child(self, small_fleet, tmp_path):
+        (small_fleet / "m02").symlink_to(small_fleet / "m00", target_is_directory=True)
+        probe = (
+            "import os, signal, sys\n"
+            "import vibdict.cli as cli\n"
+            "train_one = cli.train_one\n"
+            "def killed_on_m01(task):\n"
+            "    if task.machine == 'm01':\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return train_one(task)\n"
+            "cli.train_one = killed_on_m01\n"
+            "try:\n"
+            "    cli.main(sys.argv[1:])\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+        )
+        out = tmp_path / "base"
+        done = spawn("-c", probe, *train_args(small_fleet, out, jobs=2))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == ("the worker for machine 'm01' was killed by signal 9\n"
+                               "no child left\n")
+        assert {p.name for p in out.glob("*.vdct")} == {"m00.vdct", "m02.vdct"}
+
+    def test_large_result_comes_back_intact(self):
+        payload = bytes(range(256)) * 4096  # 1 MiB, more than a pipe buffers
+        results = cli._run_per_machine(lambda task: task.machine.encode() + payload,
+                                       fleet_tasks("m00", "m01", "m02"), 2)
+        assert results == [name.encode() + payload for name in ("m00", "m01", "m02")]
+
+    def test_first_failure_in_task_order_after_every_machine_ran(self, tmp_path):
+        def worker(task):
+            if task.machine == "m00":
+                time.sleep(0.3)
+                raise ConfigError("m00 failed last")
+            if task.machine == "m01":
+                raise DataError("m01 failed first")
+            (tmp_path / task.machine).write_text("ran")
+            return task.machine
+
+        with pytest.raises(ConfigError, match="^m00 failed last$"):
+            cli._run_per_machine(worker, fleet_tasks("m00", "m01", "m02"), 2)
+        assert (tmp_path / "m02").read_text() == "ran"
+
+    @pytest.mark.parametrize("fails_in", ["pickle", "unpickle"])
+    def test_exception_lost_in_pickling_names_machine(self, fails_in):
+        class LocalError(Exception):
+            """Defined in a function, so pickle cannot find its class."""
+
+        error = LocalError("bad") if fails_in == "pickle" else NeedsTwoArguments("m01", "bad")
+
+        def worker(task):
+            if task.machine == "m01":
+                raise error
+            return task.machine
+
+        with pytest.raises(RuntimeError, match=f"^machine 'm01': cannot {fails_in} the worker's"):
+            cli._run_per_machine(worker, fleet_tasks("m00", "m01"), 2)
+
+    def test_without_fork_runs_serially_in_process(self, monkeypatch):
+        def no_fan_out(*args):
+            raise AssertionError("no fork fan-out without os.fork")
+
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(cli, "_fork_per_machine", no_fan_out)
+        results = cli._run_per_machine(lambda task: (task.machine, os.getpid()),
+                                       fleet_tasks("m00", "m01"), 2)
+        assert results == [("m00", os.getpid()), ("m01", os.getpid())]
+
+    def test_fork_warning_of_threaded_parent_is_hidden(self, monkeypatch):
+        fork = os.fork
+
+        def warning_fork():
+            # What os.fork does on Python >= 3.12 when other threads exist.
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          f"fork() may lead to deadlocks in the child.",
+                          DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            results = cli._run_per_machine(lambda task: task.machine,
+                                           fleet_tasks("m00", "m01"), 2)
+        assert results == ["m00", "m01"]
+        assert seen == []
+
+    def test_stages_load_no_pool_machinery(self, small_fleet, tmp_path):
+        probe = (
+            "import sys\n"
+            "import vibdict.cli as cli\n"
+            "train, monitor = sys.argv[1:].index('train'), sys.argv[1:].index('monitor')\n"
+            "assert cli.main(sys.argv[1 + train:1 + monitor]) == 0\n"
+            "assert cli.main(sys.argv[1 + monitor:]) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        )
+        base = tmp_path / "base"
+        done = spawn("-c", probe, *train_args(small_fleet, base, jobs=2),
+                     "monitor", "--input", small_fleet, "--baseline", base,
+                     "--output", tmp_path / "mon", "--atoms", 2, "--jobs", 2)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "mon" / "m01_history.csv").exists()
 
 
 class TestDistance:
@@ -567,6 +715,10 @@ class TestNonFiniteFlags:
         ("monitor", "--eta", "inf", "eta"),
         ("monitor", "--rms-gate", "nan", "rms_gate"),
         ("indicators", "--time-constant", "nan", "time_constant"),
+        ("atom-info", "--sample-rate", "nan", "sample_rate"),
+        ("atom-info", "--sample-rate", "inf", "sample_rate"),
+        ("synth", "--impulse-amp", "nan", "impulse_amp"),
+        ("synth", "--impulse-amp", "inf", "impulse_amp"),
     ])
     def test_rejected_with_exit_2(self, small_fleet, tmp_path, capsys, command, flag, value,
                                   name):
@@ -578,6 +730,12 @@ class TestNonFiniteFlags:
             save_dictionary(init_pseudorandom(2, 12, 3, 11), str(baseline))
             argv = ["monitor", "--input", small_fleet, "--baseline", baseline,
                     "--output", out, "--atoms", 2]
+        elif command == "atom-info":
+            argv = ["atom-info", tmp_path / "d.vdct"]
+            save_dictionary(init_pseudorandom(2, 12, 3, 11), str(argv[1]))
+        elif command == "synth":
+            argv = ["synth", "--output", out, "--machines", 2, "--segments", 4,
+                    "--segment-len", 256, "--fault-onset-segment", 1]
         else:
             history = tmp_path / "hist"
             history.mkdir()
@@ -592,17 +750,12 @@ class TestNonFiniteFlags:
         assert captured.out == ""
         assert captured.err.startswith(f"config error: {name} must be ")
         assert captured.err.endswith(f"got {value}\n")
+        if command == "synth":
+            assert not out.exists()
 
 
 class TestProcessEntry:
     """``python -m vibdict.cli`` runs ``main`` through ``entry`` in a fresh process."""
-
-    SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-
-    def spawn(self, *argv):
-        env = dict(os.environ, PYTHONPATH=self.SRC)
-        return subprocess.run([sys.executable, *map(str, argv)], env=env,
-                              capture_output=True, text=True, timeout=120)
 
     def test_exit_codes_and_output(self, tmp_path, capsys):
         good = tmp_path / "good.vdct"
@@ -617,7 +770,7 @@ class TestProcessEntry:
              "", f"data error: {bad}: bad magic b'junk', not a dictionary file\n"),
         ]
         for argv, code, stdout, stderr in cases:
-            done = self.spawn("-m", "vibdict.cli", *argv)
+            done = spawn("-m", "vibdict.cli", *argv)
             assert (done.returncode, done.stdout, done.stderr) == (code, stdout, stderr)
             capsys.readouterr()
             assert run(*argv) == code
@@ -631,7 +784,7 @@ class TestProcessEntry:
             "cli.main = lambda argv=None: print(gc.get_freeze_count() > 0) or 5\n"
             "sys.exit(cli.entry())\n"
         )
-        done = self.spawn("-c", probe)
+        done = spawn("-c", probe)
         assert (done.returncode, done.stdout, done.stderr) == (5, "True\n", "")
 
 class TestAtomInfo:

@@ -298,3 +298,10 @@ class TestFrequencies:
         atom = Atom(unit_normalize(np.sin(2 * np.pi * 125.0 * t)), 0)
         assert peak_frequency(atom, fs) == pytest.approx(125.0, abs=fs / n)
         assert center_frequency(atom, fs) == pytest.approx(125.0, rel=0.05)
+
+    @pytest.mark.parametrize("fs", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("frequency", [peak_frequency, center_frequency])
+    def test_sample_rate_must_be_positive_and_finite(self, frequency, fs):
+        atom = Atom(unit_normalize(np.hanning(16)), 0)
+        with pytest.raises(ValueError, match=f"sample_rate must be positive and finite, got {fs}"):
+            frequency(atom, fs)

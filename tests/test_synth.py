@@ -64,6 +64,11 @@ class TestGenerateSegment:
         post = generate_segment(spec, 2048, rng, timestamp=100)
         assert np.abs(post.samples).max() > np.abs(pre.samples).max() * 2
 
+    @pytest.mark.parametrize("amp", [float("nan"), float("inf"), float("-inf")])
+    def test_fault_amplitude_must_be_finite(self, amp):
+        with pytest.raises(ValueError, match=f"impulse_amp must be finite, got {amp}"):
+            FaultSpec(onset=0, impulse_amp=amp)
+
 
 class TestGenerateFleet:
     def test_same_seed_identical_fleets(self):
