@@ -13,7 +13,6 @@ from .coding import (
     AtomInstance,
     CodingConfig,
     SparseCode,
-    cross_correlate,
     encode,
     instance_budget,
     mp_encode,
@@ -109,7 +108,6 @@ __all__ = [
     "adaptation_rate",
     "atom_coherence",
     "atom_similarity_beta",
-    "cross_correlate",
     "default_fleet_specs",
     "default_planted_atoms",
     "dictionary_distance",

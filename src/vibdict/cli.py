@@ -191,6 +191,10 @@ def _run_per_machine(worker, tasks: list[MachineTask], jobs: int | None) -> list
     workers = min(_usable_cpus() if jobs is None else jobs, len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
         return [worker(task) for task in tasks]
+    if any(task.cfg.algorithm == coding.OMP for task in tasks):
+        from . import omp_kernel
+
+        omp_kernel.fast_forward()  # built and checked once here; every child inherits it
     outcomes = _fork_per_machine(worker, tasks, workers)
     for ok, value in outcomes:
         if not ok:
@@ -437,6 +441,7 @@ def _history_files(history_dir: str) -> list[tuple[str, str]]:
 
 
 def cmd_indicators(args) -> int:
+    metrics.check_time_constant(args.time_constant)
     os.makedirs(args.output, exist_ok=True)
     smoothed: dict[str, metrics.IndicatorSeries] = {}
     for machine, path in _history_files(args.history):

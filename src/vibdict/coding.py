@@ -53,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dictionary import Atom, Dictionary
+from .dictionary import Dictionary
 from .errors import AtomFitError, NumericError
 from .ingest import SignalSegment
 
@@ -122,18 +122,6 @@ def instance_budget(segment_len: int, cfg: CodingConfig) -> int:
         return cfg.n_instances
     exact = (1 - Fraction(str(cfg.sparsity))) * segment_len
     return max(1, math.ceil(exact))
-
-
-def cross_correlate(signal: np.ndarray, atom: Atom) -> np.ndarray:
-    """Inner products of an atom against a signal at every interior shift.
-
-    out[tau] = sum_t signal[tau + t] * atom.waveform[t], for tau in
-    [0, len(signal) - len(atom)].
-    """
-    signal = np.asarray(signal, dtype=np.float64)
-    if len(atom) > signal.size:
-        raise ValueError(f"atom of length {len(atom)} longer than signal of length {signal.size}")
-    return np.correlate(signal, atom.waveform, mode="valid")
 
 
 def _stacked_correlations(segment: SignalSegment, dictionary: Dictionary):
@@ -306,6 +294,23 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
     selection has become linearly dependent, so G is singular from that
     pick on; the rest of the segment is then solved from the full Gram
     matrix with the ridge-damped :func:`_solve_gram`.
+
+    When the compiled kernel of :mod:`vibdict.omp_kernel` has loaded, it
+    runs the factored picks first, with the same operations and BLAS
+    calls, and the numpy loop carries on from the pick where it stopped.
+    That leaves numpy nothing to do unless a pivot failed and the ridge
+    fallback takes over.
+    """
+    from . import omp_kernel  # only OMP runs load it
+
+    return _omp_encode(segment, dictionary, cfg, omp_kernel.fast_forward())
+
+
+def _omp_encode(segment, dictionary, cfg, kernel, final=None) -> SparseCode:
+    """:func:`omp_encode` with the given kernel; ``None`` runs every pick in numpy.
+
+    A dict passed as ``final`` receives the loop's working arrays as they
+    are at the end, for bit-for-bit comparisons of the two loops.
     """
     if cfg.algorithm != OMP:
         raise ValueError(f"omp_encode called with algorithm {cfg.algorithm!r}")
@@ -327,24 +332,27 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
     # the working arrays even when the budget is larger.
     capacity = min(budget, dead.size - np.count_nonzero(dead))
 
-    sel_row = np.zeros(capacity, dtype=np.intp)
-    sel_tau = np.zeros(capacity, dtype=np.intp)
-    # Sample index and zero-padded waveform of every selected placement;
-    # padding lanes point at the last sample and carry zero weight.
-    support = np.zeros((capacity, lmax), dtype=np.intp)
-    shapes = np.zeros((capacity, lmax))
+    sel_row = np.zeros(capacity, dtype=np.int64)
+    sel_tau = np.zeros(capacity, dtype=np.int64)
     rhs = np.zeros(capacity)
     linv = np.zeros((capacity, capacity))
     z = np.zeros(capacity)
-    factored = True
-    amplitudes = np.empty(0)
+    amplitudes = np.zeros(capacity)
     residual = x.copy()
     exhausted = False
     corr = signal_corr.copy()
     magnitudes = np.abs(corr)
     np.copyto(magnitudes, -np.inf, where=dead)
 
-    for k in range(budget):
+    start = 0
+    if kernel is not None:
+        lengths = np.array([w.size for w in waveforms], dtype=np.int64)
+        start = kernel(budget, np.ascontiguousarray(x), atoms, lengths, table, signal_corr, corr,
+                       magnitudes, dead, sel_row, sel_tau, linv, z, amplitudes, residual)
+        rhs[:start] = signal_corr[sel_row[:start], sel_tau[:start]]
+    amplitudes = amplitudes[:start]
+    factored = True
+    for k in range(start, budget):
         row, tau, top = _row_major_argmax(magnitudes)
         if not top > 0.0:
             exhausted = True
@@ -352,8 +360,6 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
         dead[row, tau] = True
         magnitudes[row, tau] = -np.inf
         sel_row[k], sel_tau[k] = row, tau
-        support[k] = np.minimum(tau + lanes, n - 1)
-        shapes[k] = atoms[row]
         rhs[k] = signal_corr[row, tau]
 
         if factored:
@@ -374,9 +380,13 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
             )
             amplitudes = _solve_gram(gram, rhs[: k + 1])
 
-        weights = amplitudes[:, None] * shapes[: k + 1]
+        # Sample index and waveform of every selected placement, padded to
+        # L_max lanes; padding lanes point at the last sample and carry
+        # zero weight.
+        support = np.minimum(sel_tau[: k + 1, None] + lanes, n - 1)
+        weights = amplitudes[:, None] * atoms[sel_row[: k + 1]]
         previous = residual
-        residual = x - np.bincount(support[: k + 1].ravel(), weights.ravel(), minlength=n)
+        residual = x - np.bincount(support.ravel(), weights.ravel(), minlength=n)
         changed = np.flatnonzero(residual != previous)
         if k + 1 < budget and changed.size:
             first, last = changed[0], changed[-1]
@@ -385,6 +395,8 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
             np.abs(corr[:, columns], out=magnitudes[:, columns])
             np.copyto(magnitudes[:, columns], -np.inf, where=dead[:, columns])
 
+    if final is not None:
+        final.update(corr=corr, magnitudes=magnitudes, dead=dead, linv=linv, z=z)
     instances = tuple(
         AtomInstance(ids[row], int(tau), float(a))
         for row, tau, a in zip(sel_row, sel_tau, amplitudes)

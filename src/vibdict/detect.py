@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContentError, DataError
 from .ingest import read_table
@@ -107,16 +108,14 @@ def slope_indicator(series: IndicatorSeries, window: int = DEFAULT_SLOPE_WINDOW)
     if len(series) < window:
         raise ValueError(f"series of length {len(series)} shorter than window {window}")
     days = series.timestamps.astype(np.float64) / SECONDS_PER_DAY
-    out = np.empty(len(series) - window + 1)
-    for k in range(window - 1, len(series)):
-        t = days[k - window + 1 : k + 1]
-        v = series.values[k - window + 1 : k + 1]
-        t_mean = t.mean()
-        v_mean = v.mean()
-        denom = float(np.sum((t - t_mean) ** 2))
-        if denom == 0.0:
-            raise ValueError("slope undefined: identical timestamps in window")
-        out[k - window + 1] = float(np.sum((t - t_mean) * (v - v_mean)) / denom)
+    t = sliding_window_view(days, window)
+    v = sliding_window_view(series.values, window)
+    t = t - t.mean(axis=1, keepdims=True)
+    v = v - v.mean(axis=1, keepdims=True)
+    denom = np.sum(t**2, axis=1)
+    if not denom.all():
+        raise ValueError("slope undefined: identical timestamps in window")
+    out = np.sum(t * v, axis=1) / denom
     return IndicatorSeries(
         f"slope[{series.name}]", series.timestamps[window - 1 :], out
     )

@@ -160,14 +160,19 @@ def fidelity_db(segment_samples: np.ndarray, residual: np.ndarray) -> float:
     return 20.0 * math.log10(recon_norm / resid_norm)
 
 
+def check_time_constant(time_constant: float) -> None:
+    """Raise ValueError unless a lowpass time constant is positive and finite."""
+    if not (math.isfinite(time_constant) and time_constant > 0):
+        raise ValueError(f"time_constant must be positive and finite, got {time_constant}")
+
+
 def lowpass(values: np.ndarray, time_constant: float) -> np.ndarray:
     """First-order exponential lowpass, initialized at the first sample.
 
     y[t] = alpha * y[t-1] + (1 - alpha) * x[t] with
     alpha = exp(-1 / time_constant), time measured in samples.
     """
-    if not (math.isfinite(time_constant) and time_constant > 0):
-        raise ValueError(f"time_constant must be positive and finite, got {time_constant}")
+    check_time_constant(time_constant)
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("values must be a nonempty 1-D array")

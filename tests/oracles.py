@@ -14,14 +14,6 @@ def naive_rms(x):
     return math.sqrt(sum(float(v) ** 2 for v in x) / len(x))
 
 
-def naive_correlation(signal, waveform):
-    """Inner products at every interior shift, by explicit loop."""
-    n, length = len(signal), len(waveform)
-    return np.array(
-        [float(np.dot(signal[tau : tau + length], waveform)) for tau in range(n - length + 1)]
-    )
-
-
 def naive_best(residual, waveforms_by_id):
     """Exhaustive argmax of |inner product| with (id, offset) tie-break.
 
@@ -135,6 +127,27 @@ def ols_slope(times, values):
     n = len(t)
     st, sv = t.sum(), v.sum()
     return (n * float(np.dot(t, v)) - st * sv) / (n * float(np.dot(t, t)) - st * st)
+
+
+def loop_slope(timestamps, values, window):
+    """Trailing least-squares slopes in units per day, one window at a time.
+
+    The same formula, in the same order of operations, as
+    ``detect.slope_indicator``; raises ValueError on a window of
+    identical timestamps.
+    """
+    days = np.asarray(timestamps).astype(np.float64) / 86400.0
+    out = np.empty(len(days) - window + 1)
+    for k in range(window - 1, len(days)):
+        t = days[k - window + 1 : k + 1]
+        v = values[k - window + 1 : k + 1]
+        t_mean = t.mean()
+        v_mean = v.mean()
+        denom = float(np.sum((t - t_mean) ** 2))
+        if denom == 0.0:
+            raise ValueError("slope undefined: identical timestamps in window")
+        out[k - window + 1] = float(np.sum((t - t_mean) * (v - v_mean)) / denom)
+    return out
 
 
 def closed_form_lowpass(values, alpha):

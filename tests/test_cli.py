@@ -753,6 +753,21 @@ class TestNonFiniteFlags:
         if command == "synth":
             assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_indicators_bad_time_constant_writes_nothing(self, tmp_path, capsys, value):
+        history = tmp_path / "hist"
+        history.mkdir()
+        (history / "m00_history.csv").write_text(
+            "timestamp,fidelity_db,distance_deg,n_instances\n"
+            + "".join(f"{100 * t},10.0,{0.1 * t},3\n" for t in range(1, 6))
+        )
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run("indicators", "--history", history, "--output", out,
+                   "--time-constant", value) == 2
+        assert capsys.readouterr().err.startswith("config error: time_constant must be ")
+        assert not out.exists()
+
 
 class TestProcessEntry:
     """``python -m vibdict.cli`` runs ``main`` through ``entry`` in a fresh process."""

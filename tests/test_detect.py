@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import vibdict.detect as detect
 from vibdict.detect import (
     LabeledWindow,
     RocPoint,
@@ -22,7 +23,7 @@ from vibdict.detect import (
 from vibdict.errors import DataError
 from vibdict.metrics import IndicatorSeries
 
-from oracles import confusion_at, midpoint_auc, naive_roc, ols_slope, trapezoid_auc
+from oracles import confusion_at, loop_slope, midpoint_auc, naive_roc, ols_slope, trapezoid_auc
 
 DAY = 86400
 
@@ -98,6 +99,32 @@ class TestSlopeIndicator:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
             slope_indicator(series("d", np.ones(5)), window=10)
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(n=st.integers(30, 1500), window=st.integers(2, 200),
+           repeats=st.sampled_from([0.0, 0.3, 0.95]), seed=st.integers(0, 2**32 - 1))
+    def test_bytes_match_window_loop(self, n, window, repeats, seed):
+        # Repeated timestamps cannot pass IndicatorSeries' own check, so
+        # the input is assembled without it and the output is read back
+        # through a stand-in.
+        assume(window <= n)
+        rng = np.random.default_rng(seed)
+        gaps = rng.integers(1, 2 * 86400, size=n)
+        gaps[rng.random(n) < repeats] = 0
+        t = 1_600_000_000 + np.cumsum(gaps)
+        v = rng.standard_normal(n) * 10.0 ** int(rng.integers(-3, 4))
+        s = object.__new__(IndicatorSeries)
+        for field, value in (("name", "d"), ("timestamps", t), ("values", v)):
+            object.__setattr__(s, field, value)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(detect, "IndicatorSeries", lambda name, times, values: values)
+            try:
+                expected = loop_slope(t, v, window)
+            except ValueError:
+                with pytest.raises(ValueError, match="identical timestamps"):
+                    slope_indicator(s, window=window)
+                return
+            assert slope_indicator(s, window=window).tobytes() == expected.tobytes()
         with pytest.raises(ValueError):
             slope_indicator(series("d", np.ones(5)), window=1)
 
