@@ -15,25 +15,31 @@ file, then explicit flags, in increasing precedence. Every command that
 writes an output directory drops an ``effective_config.txt`` there so
 runs are replayable. Exit codes: 0 success, 2 configuration error,
 3 data error, 4 numeric failure.
+
+Each command imports the modules it runs inside its handler, so a stage
+loads no coder, detector or generator that it does not use.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import itertools
+import importlib
 import math
 import os
-import pickle
 import sys
 import typing
-import warnings
-import zlib
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import coding, detect, dictionary, ingest, learning, metrics, synth
+from . import ingest
+from .defaults import (
+    ALGORITHMS,
+    DEFAULT_IMPULSE_PERIOD,
+    DEFAULT_SAMPLE_RATE,
+    DEFAULT_SLOPE_WINDOW,
+)
 from .errors import ConfigError, DataError, NumericError
 
 
@@ -55,8 +61,8 @@ class RunConfig:
     output: str = ""
 
     def __post_init__(self):
-        if self.algorithm not in coding.ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {coding.ALGORITHMS}, got {self.algorithm!r}")
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if not 0.0 <= self.sparsity < 1.0:
             raise ConfigError(f"sparsity must be in [0, 1), got {self.sparsity}")
         if not (math.isfinite(self.eta) and self.eta >= 0):
@@ -112,12 +118,6 @@ def write_effective_config(cfg: RunConfig, outdir: str) -> None:
             fh.write(f"{key}={value}\n")
 
 
-def machine_seed(base_seed: int, machine: str) -> int:
-    """Stable per-machine seed derived from the run seed and machine name."""
-    seq = np.random.SeedSequence([base_seed, zlib.crc32(machine.encode())])
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 def _machine_dirs(path: str) -> list[tuple[str, str]]:
     """(machine, dir) pairs: one per subdirectory, else the path itself."""
     if not os.path.isdir(path):
@@ -130,199 +130,14 @@ def _machine_dirs(path: str) -> list[tuple[str, str]]:
     return [(os.path.basename(os.path.normpath(path)), path)]
 
 
-def _prepared_segments(indir: str, fmt: str, cfg: RunConfig):
-    """Load, gate, and standardize one machine's segments.
-
-    Returns (available, gated, prepared) so callers can report the
-    accounting in errors.
-    """
-    segments = ingest.load_segments(indir, fmt)
-    gate = ingest.SegmentGate(cfg.rms_gate)
-    gated = ingest.gate_by_rms(segments, gate)
-    return len(segments), len(gated), [ingest.preprocess(s) for s in gated]
-
-
-@dataclass(frozen=True)
-class MachineTask:
-    """One machine's work for ``train_one`` or ``monitor_one``.
-
-    Holds the resolved config and the few flags the workers read. The CLI
-    hands tasks to forked children, which inherit them unpickled, but a
-    task still pickles, so library callers can send it to any worker
-    process, spawned ones included. The fields after ``fmt`` are read by
-    ``monitor_one`` only.
-    """
-
-    machine: str
-    indir: str
-    cfg: RunConfig
-    fmt: str
-    baseline: str = ""
-    mode: str = "propagate"
-    foreign: str | None = None
-    dump_codes: bool = False
-
-
 def _check_jobs(jobs: int | None) -> None:
     if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _run_per_machine(worker, tasks: list[MachineTask], jobs: int | None) -> list:
-    """Run ``worker`` on every task and return the results in task order.
-
-    Each task runs in a forked child of its own, with at most
-    ``min(jobs, machines)`` children alive at once; ``jobs=None`` means one
-    per usable CPU. Children inherit ``worker`` and the tasks, so neither
-    is pickled; each sends back one pickled outcome over its own pipe. One
-    worker, or a platform without ``os.fork``, runs the tasks serially in
-    this process. Every forked machine runs even when one fails; then the
-    first failure in task order is re-raised here, with its original type
-    and message.
-    """
-    workers = min(_usable_cpus() if jobs is None else jobs, len(tasks))
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [worker(task) for task in tasks]
-    if any(task.cfg.algorithm == coding.OMP for task in tasks):
-        from . import omp_kernel
-
-        omp_kernel.fast_forward()  # built and checked once here; every child inherits it
-    outcomes = _fork_per_machine(worker, tasks, workers)
-    for ok, value in outcomes:
-        if not ok:
-            raise value
-    return [value for _, value in outcomes]
-
-
-def _fork_per_machine(worker, tasks: list[MachineTask],
-                      workers: int) -> list[tuple[bool, object]]:
-    """Fork one child per task, ``workers`` at a time; (ok, value) per task.
-
-    The parent reads whichever pipe is ready, so a child never blocks on a
-    full pipe, and it reaps every child before it returns or raises.
-    """
-    import select
-    import signal
-
-    outcomes: list = [None] * len(tasks)
-    running: dict[int, tuple[int, int, list[bytes]]] = {}  # read fd -> (index, pid, chunks)
-    queue = iter(enumerate(tasks))
-    sys.stdout.flush()  # so no child inherits and repeats buffered output
-    sys.stderr.flush()
-    try:
-        while True:
-            for index, task in itertools.islice(queue, workers - len(running)):
-                read_fd, write_fd = os.pipe()
-                with warnings.catch_warnings():
-                    # Python >= 3.12 warns when other threads exist, such as
-                    # BLAS workers; OpenBLAS stops its pool before a fork.
-                    warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                            DeprecationWarning)
-                    pid = os.fork()
-                if pid == 0:
-                    os.close(read_fd)
-                    _run_in_child(worker, task, write_fd)
-                os.close(write_fd)
-                running[read_fd] = (index, pid, [])
-            if not running:
-                return outcomes
-            for fd in select.select(list(running), [], [])[0]:
-                index, pid, chunks = running[fd]
-                chunk = os.read(fd, 1 << 20)
-                if chunk:
-                    chunks.append(chunk)
-                    continue
-                del running[fd]
-                os.close(fd)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                outcomes[index] = _child_outcome(tasks[index].machine, b"".join(chunks), code)
-    finally:
-        for fd, (_, pid, _) in running.items():
-            os.close(fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _run_in_child(worker, task: MachineTask, write_fd: int) -> typing.NoReturn:
-    """Run one task, write its pickled (ok, value) to ``write_fd`` and exit.
-
-    Any exception, interrupts included, goes to the parent, which re-raises
-    it. ``os._exit`` skips the exit handlers and ``finally`` blocks, which
-    belong to the parent.
-    """
-    code = 1
-    try:
-        try:
-            outcome = (True, worker(task))
-        except BaseException as exc:
-            outcome = (False, exc)
-        try:
-            payload = pickle.dumps(outcome)
-        except Exception as exc:
-            payload = pickle.dumps((False, RuntimeError(
-                f"machine {task.machine!r}: cannot pickle the worker's {outcome[1]!r} ({exc})")))
-        with open(write_fd, "wb") as fh:
-            fh.write(payload)
-        sys.stdout.flush()
-        sys.stderr.flush()
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _child_outcome(machine: str, payload: bytes, code: int) -> tuple[bool, object]:
-    """(ok, value) from a reaped child's exit code and pipe bytes."""
-    if code:
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-        return False, RuntimeError(f"the worker for machine {machine!r} {how}")
-    try:
-        return pickle.loads(payload)
-    except Exception as exc:
-        return False, RuntimeError(
-            f"machine {machine!r}: cannot unpickle the worker's outcome ({exc!r})")
-
-
-def train_one(task: MachineTask) -> tuple[float, int]:
-    """Train and save one machine's baseline; return (final fidelity dB, growth events)."""
-    cfg, machine = task.cfg, task.machine
-    available, gated, prepared = _prepared_segments(task.indir, task.fmt, cfg)
-    usable = [s for s in prepared if len(s) >= cfg.block_len]
-    if not usable:
-        raise DataError(
-            f"machine {machine!r}: insufficient training data "
-            f"({available} segments available, {gated} passed the RMS gate, "
-            f"{len(usable)} long enough for block_len={cfg.block_len})"
-        )
-    blocks = ingest.sample_blocks(
-        usable, cfg.block_len, cfg.train_blocks, machine_seed(cfg.seed, machine)
-    )
-    init = dictionary.init_pseudorandom(cfg.atoms, cfg.core_len, cfg.pad, cfg.seed)
-    result = learning.train_baseline(
-        blocks,
-        init,
-        coding.CodingConfig(cfg.algorithm, cfg.sparsity),
-        learning.LearnConfig(eta=cfg.eta),
-    )
-    dictionary.save_dictionary(
-        result.dictionary, os.path.join(cfg.output, f"{machine}.vdct")
-    )
-    log_path = os.path.join(cfg.output, f"{machine}_train_log.csv")
-    with open(log_path, "w", encoding="utf-8") as fh:
-        fh.write("block,fidelity_db\n")
-        for k, fid in enumerate(result.fidelity_db):
-            fh.write(f"{k},{float(fid)!r}\n")
-    return float(result.fidelity_db[-1]), result.growth_events
-
-
 def cmd_train(args) -> int:
+    from . import fleet
+
     _check_jobs(args.jobs)
     cfg = resolve_config(args)
     if not cfg.input or not cfg.output:
@@ -334,8 +149,8 @@ def cmd_train(args) -> int:
         )
     write_effective_config(cfg, cfg.output)
     machines = _machine_dirs(cfg.input)
-    tasks = [MachineTask(machine, indir, cfg, args.format) for machine, indir in machines]
-    results = _run_per_machine(train_one, tasks, args.jobs)
+    tasks = [fleet.MachineTask(machine, indir, cfg, args.format) for machine, indir in machines]
+    results = fleet.run_per_machine(fleet.train_one, tasks, args.jobs)
     for (machine, _), (fidelity, growth_events) in zip(machines, results):
         print(
             f"{machine}: trained {cfg.atoms} atoms over {cfg.train_blocks} blocks, "
@@ -345,54 +160,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_baseline(path: str, cfg: RunConfig):
-    base = dictionary.load_dictionary(path)
-    if len(base.atoms) != cfg.atoms:
-        raise ConfigError(
-            f"baseline {path} has {len(base.atoms)} atoms but config expects {cfg.atoms}"
-        )
-    return base
-
-
-def _baseline_for(machine: str, baseline_path: str, cfg: RunConfig):
-    if os.path.isdir(baseline_path):
-        return _load_baseline(os.path.join(baseline_path, f"{machine}.vdct"), cfg)
-    return _load_baseline(baseline_path, cfg)
-
-
-def monitor_one(task: MachineTask) -> tuple[int, learning.HistoryRecord | None]:
-    """Monitor one machine and save its outputs; return (records, last record)."""
-    cfg, machine = task.cfg, task.machine
-    eta = 0.0 if task.mode in ("frozen", "foreign") else cfg.eta
-    coding_cfg = coding.CodingConfig(cfg.algorithm, cfg.sparsity)
-    learn_cfg = learning.LearnConfig(eta=eta)
-    own = _baseline_for(machine, task.baseline, cfg)
-    live = _load_baseline(task.foreign, cfg) if task.mode == "foreign" else own
-    _, _, prepared = _prepared_segments(task.indir, task.fmt, cfg)
-    for before, after in zip(prepared, prepared[1:]):
-        if before.timestamp == after.timestamp:
-            raise DataError(f"{task.indir}: two segments at timestamp {after.timestamp}; "
-                            f"monitor needs one segment per timestamp")
-    state = learning.MonitorState(live, own)
-    codes_dir = os.path.join(cfg.output, f"{machine}_codes")
-    if task.dump_codes:
-        os.makedirs(codes_dir, exist_ok=True)
-    for segment in prepared:
-        state, code = learning.monitor_step(state, segment, coding_cfg, learn_cfg)
-        if task.dump_codes:
-            coding.save_code_csv(
-                code, os.path.join(codes_dir, f"{segment.timestamp}.csv")
-            )
-    learning.save_history_csv(
-        state.records, os.path.join(cfg.output, f"{machine}_history.csv")
-    )
-    dictionary.save_dictionary(
-        state.dictionary, os.path.join(cfg.output, f"{machine}_final.vdct")
-    )
-    return len(state.records), state.records[-1] if state.records else None
-
-
 def cmd_monitor(args) -> int:
+    from . import fleet
+
     _check_jobs(args.jobs)
     cfg = resolve_config(args)
     if not cfg.input or not cfg.output:
@@ -402,11 +172,11 @@ def cmd_monitor(args) -> int:
     write_effective_config(cfg, cfg.output)
     machines = _machine_dirs(cfg.input)
     tasks = [
-        MachineTask(machine, indir, cfg, args.format, args.baseline, args.mode,
-                    args.foreign, args.dump_codes)
+        fleet.MachineTask(machine, indir, cfg, args.format, args.baseline, args.mode,
+                          args.foreign, args.dump_codes)
         for machine, indir in machines
     ]
-    results = _run_per_machine(monitor_one, tasks, args.jobs)
+    results = fleet.run_per_machine(fleet.monitor_one, tasks, args.jobs)
     for (machine, _), (count, last) in zip(machines, results):
         if last is not None:
             print(
@@ -420,6 +190,8 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from . import dictionary, metrics
+
     a = dictionary.load_dictionary(args.dict_a)
     b = dictionary.load_dictionary(args.dict_b)
     print(f"{metrics.dictionary_distance(a, b):.6f}")
@@ -441,11 +213,13 @@ def _history_files(history_dir: str) -> list[tuple[str, str]]:
 
 
 def cmd_indicators(args) -> int:
+    from . import metrics
+
     metrics.check_time_constant(args.time_constant)
     os.makedirs(args.output, exist_ok=True)
     smoothed: dict[str, metrics.IndicatorSeries] = {}
     for machine, path in _history_files(args.history):
-        records = learning.load_history_csv(path)
+        records = metrics.load_history_csv(path)
         if not records:
             raise DataError(f"{path}: empty history")
         times = np.array([r.timestamp for r in records])
@@ -484,6 +258,8 @@ def cmd_indicators(args) -> int:
 
 
 def cmd_roc(args) -> int:
+    from . import detect, metrics
+
     series_by_machine: dict[str, metrics.IndicatorSeries] = {}
     for path in args.indicators:
         series, meta = metrics.load_indicator_csv(path)
@@ -507,6 +283,8 @@ def cmd_roc(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     cfg = resolve_config(args)
     if not cfg.output:
         raise ConfigError("synth requires --output")
@@ -538,6 +316,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_atom_info(args) -> int:
+    from . import dictionary, metrics
+
     d = dictionary.load_dictionary(args.dict)
     lines = [f"{args.dict}: {len(d.atoms)} atoms, generation {d.generation}"]
     for atom in d.atoms:
@@ -556,7 +336,7 @@ def cmd_atom_info(args) -> int:
 def _add_common_flags(sub, with_io=True):
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--seed", type=int, default=None, help="run seed")
-    sub.add_argument("--algo", choices=coding.ALGORITHMS, default=None, help="coder")
+    sub.add_argument("--algo", choices=ALGORITHMS, default=None, help="coder")
     sub.add_argument("--eta", type=float, default=None, help="learning rate")
     sub.add_argument("--sparsity", type=float, default=None, help="target sparsity in [0,1)")
     sub.add_argument("--rms-gate", dest="rms_gate", type=float, default=None,
@@ -620,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--indicator", choices=("value", "slope", "min-diff"), default="value",
                    help="detector applied to the loaded series")
     p.add_argument("--slope-window", dest="slope_window", type=int,
-                   default=detect.DEFAULT_SLOPE_WINDOW)
+                   default=DEFAULT_SLOPE_WINDOW)
     p.set_defaults(func=cmd_roc)
 
     p = subs.add_parser("synth", help="generate a synthetic fleet with ground-truth labels")
@@ -636,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index of the faulted machine, -1 for none")
     p.add_argument("--fault-onset-segment", dest="fault_onset_segment", type=int, default=150)
     p.add_argument("--impulse-period", dest="impulse_period", type=int,
-                   default=synth.DEFAULT_IMPULSE_PERIOD)
+                   default=DEFAULT_IMPULSE_PERIOD)
     p.add_argument("--impulse-amp", dest="impulse_amp", type=float, default=10.0)
     p.add_argument("--impulse-decay", dest="impulse_decay", type=float, default=0.8)
     p.set_defaults(func=cmd_synth)
@@ -644,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("atom-info", help="print per-atom diagnostics")
     p.add_argument("dict")
     p.add_argument("--sample-rate", dest="sample_rate", type=float,
-                   default=synth.DEFAULT_SAMPLE_RATE)
+                   default=DEFAULT_SAMPLE_RATE)
     p.set_defaults(func=cmd_atom_info)
 
     return parser
@@ -671,15 +451,32 @@ def main(argv=None) -> int:
         return 2
 
 
+# The modules each command imports where it runs them; entry() imports
+# them up front, so that gc.freeze() covers them.
+COMMAND_MODULES = {
+    "train": ("fleet",),
+    "monitor": ("fleet",),
+    "distance": ("dictionary", "metrics"),
+    "indicators": ("metrics",),
+    "roc": ("detect", "metrics"),
+    "synth": ("synth",),
+    "atom-info": ("dictionary", "metrics"),
+}
+
+
 def entry() -> int:
     """Process entry of ``python -m vibdict.cli`` and the ``vibdict`` script.
 
-    ``gc.freeze()`` moves every object alive after the imports, about
-    22,000 of numpy's and vibdict's, out of the collector's reach, so
-    neither the collections of a run nor the ones at interpreter exit
-    walk them again; worker processes forked later inherit that. Exit
-    handlers still run and files are still flushed and closed.
+    It imports the modules of the command named by the first argument
+    (the top-level parser takes no other), then calls ``gc.freeze()``.
+    The freeze moves every object alive after those imports, most of them
+    numpy's, out of the collector's reach, so neither the collections of
+    a run nor the ones at interpreter exit walk them again; worker
+    processes forked later inherit that. Exit handlers still run and
+    files are still flushed and closed.
     """
+    for name in COMMAND_MODULES.get(sys.argv[1] if len(sys.argv) > 1 else "", ()):
+        importlib.import_module(f".{name}", __package__)
     gc.freeze()
     return main()
 

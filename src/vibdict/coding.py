@@ -49,17 +49,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from .defaults import ALGORITHMS, MP, OMP
 from .dictionary import Dictionary
 from .errors import AtomFitError, NumericError
 from .ingest import SignalSegment
-
-MP = "mp"
-OMP = "omp"
-ALGORITHMS = (MP, OMP)
 
 # Diagonal damping applied to the OMP Gram system when it is not
 # numerically positive definite: lambda = RIDGE_SCALE * trace(G) / k.
@@ -120,8 +116,13 @@ def instance_budget(segment_len: int, cfg: CodingConfig) -> int:
         raise ValueError("segment_len must be >= 1")
     if cfg.n_instances is not None:
         return cfg.n_instances
-    exact = (1 - Fraction(str(cfg.sparsity))) * segment_len
-    return max(1, math.ceil(exact))
+    # Read the sparsity as digits / 10**scale from its decimal text, such
+    # as "0.9" or "1e-05", so that the ceiling is taken in integers.
+    mantissa, _, exponent = str(cfg.sparsity).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits, scale = int(whole + fraction), len(fraction) - int(exponent or 0)
+    denominator = 10**scale
+    return max(1, -((digits - denominator) * segment_len // denominator))
 
 
 def _stacked_correlations(segment: SignalSegment, dictionary: Dictionary):

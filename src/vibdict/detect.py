@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .defaults import DEFAULT_SLOPE_WINDOW
 from .errors import ContentError, DataError
 from .ingest import read_table
 from .metrics import IndicatorSeries
@@ -24,10 +25,6 @@ FAULTY = "faulty"
 LABELS = (HEALTHY, FAULTY)
 
 SECONDS_PER_DAY = 86400.0
-
-# Default trailing window for the slope detector, matching the indicator
-# smoothing horizon of 30 segments.
-DEFAULT_SLOPE_WINDOW = 30
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,8 @@ class SignalSegment:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a nonempty 1-D vector")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
+        if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
+            raise ValueError("sample_rate must be positive and finite")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "timestamp", int(self.timestamp))
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .coding import CodingConfig, SparseCode, encode
 from .dictionary import Atom, Dictionary, maybe_grow, unit_normalize
-from .ingest import SignalSegment, read_table
-from .metrics import dictionary_distance, fidelity_db
+from .ingest import SignalSegment
+from .metrics import HistoryRecord, dictionary_distance, fidelity_db
 
 
 @dataclass(frozen=True)
@@ -136,16 +136,6 @@ def train_baseline(
     return TrainResult(dictionary, fidelities, growth_events)
 
 
-@dataclass(frozen=True)
-class HistoryRecord:
-    """One monitoring step: when, how well coded, how far from baseline."""
-
-    timestamp: int
-    fidelity_db: float
-    distance_deg: float
-    n_instances: int
-
-
 @dataclass(frozen=True, eq=False)
 class MonitorState:
     """Evolving per-machine monitoring state.
@@ -206,18 +196,3 @@ def monitor_segments(
         if progress is not None:
             progress(i, len(segments), state.records[-1])
     return state
-
-
-def save_history_csv(records, path: str) -> None:
-    """Write monitoring history as ``timestamp,fidelity_db,distance_deg,n_instances``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("timestamp,fidelity_db,distance_deg,n_instances\n")
-        for r in records:
-            fh.write(f"{r.timestamp},{r.fidelity_db!r},{r.distance_deg!r},{r.n_instances}\n")
-
-
-def load_history_csv(path: str) -> tuple[HistoryRecord, ...]:
-    """Read a monitoring history CSV written by :func:`save_history_csv`."""
-    records, _ = read_table(path, "timestamp,fidelity_db,distance_deg,n_instances",
-                            lambda t, f, d, n: HistoryRecord(int(t), float(f), float(d), int(n)))
-    return tuple(records)

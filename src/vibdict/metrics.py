@@ -3,7 +3,8 @@
 Covers reconstruction fidelity in dB, a shift-invariant dictionary
 distance in degrees, the adaptation-rate series built from dictionary
 snapshots, first-order lowpass smoothing, and robust MAD outlier scores
-for fleet comparison.
+for fleet comparison, plus the CSV files of indicators and monitoring
+histories.
 """
 
 from __future__ import annotations
@@ -255,6 +256,31 @@ def load_indicator_csv(path: str) -> tuple[IndicatorSeries, dict]:
     except ValueError as exc:
         raise ContentError(f"{path}: {exc}") from None
     return series, meta
+
+
+@dataclass(frozen=True)
+class HistoryRecord:
+    """One monitoring step: when, how well coded, how far from baseline."""
+
+    timestamp: int
+    fidelity_db: float
+    distance_deg: float
+    n_instances: int
+
+
+def save_history_csv(records, path: str) -> None:
+    """Write monitoring history as ``timestamp,fidelity_db,distance_deg,n_instances``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("timestamp,fidelity_db,distance_deg,n_instances\n")
+        for r in records:
+            fh.write(f"{r.timestamp},{r.fidelity_db!r},{r.distance_deg!r},{r.n_instances}\n")
+
+
+def load_history_csv(path: str) -> tuple[HistoryRecord, ...]:
+    """Read a monitoring history CSV written by :func:`save_history_csv`."""
+    records, _ = read_table(path, "timestamp,fidelity_db,distance_deg,n_instances",
+                            lambda t, f, d, n: HistoryRecord(int(t), float(f), float(d), int(n)))
+    return tuple(records)
 
 
 def _check_sample_rate(sample_rate: float) -> None:

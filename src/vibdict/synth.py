@@ -17,16 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_IMPULSE_PERIOD, DEFAULT_SAMPLE_RATE
 from .detect import FAULTY, HEALTHY, LabeledWindow, save_labels_csv
 from .ingest import SignalSegment, save_segment_csv, save_segment_raw
 
 # Impulse contributions below this fraction of the initial amplitude are
 # truncated when expanding a decay train.
 _DECAY_FLOOR = 1e-3
-
-DEFAULT_SAMPLE_RATE = 12800.0
-# Prime and incommensurate with power-of-two segment lengths.
-DEFAULT_IMPULSE_PERIOD = 149
 
 
 @dataclass(frozen=True)

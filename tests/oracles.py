@@ -6,12 +6,19 @@ optimized paths. Slow on purpose; correctness is the only goal.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 
 def naive_rms(x):
     return math.sqrt(sum(float(v) ** 2 for v in x) / len(x))
+
+
+def fraction_budget(segment_len, sparsity):
+    """Instance budget ceil((1 - sparsity) * segment_len), at least 1, in
+    the exact decimal value of the sparsity's text."""
+    return max(1, math.ceil((1 - Fraction(str(sparsity))) * segment_len))
 
 
 def naive_best(residual, waveforms_by_id):

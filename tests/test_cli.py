@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import vibdict.cli as cli
+import vibdict.fleet as fleet
 from vibdict.dictionary import (
     Atom,
     Dictionary,
@@ -21,8 +22,13 @@ from vibdict.dictionary import (
     unit_normalize,
 )
 from vibdict.errors import ConfigError, DataError, NumericError
-from vibdict.learning import load_history_csv
-from vibdict.metrics import load_indicator_csv, lowpass, mad_series, IndicatorSeries
+from vibdict.metrics import (
+    IndicatorSeries,
+    load_history_csv,
+    load_indicator_csv,
+    lowpass,
+    mad_series,
+)
 
 
 def run(*argv):
@@ -254,17 +260,17 @@ class TestMonitor:
             (tmp_path / output).mkdir()
             cfg = cli.RunConfig(atoms=2, eta=1e-3, seed=11, input=str(small_fleet),
                                 output=str(tmp_path / output))
-            return cli.MachineTask("m00", str(small_fleet / "m00"), cfg, "csv",
-                                   str(baseline), "propagate", None, False)
+            return fleet.MachineTask("m00", str(small_fleet / "m00"), cfg, "csv",
+                                     str(baseline), "propagate", None, False)
 
         serial, spawned = task("serial"), task("spawned")
         assert pickle.loads(pickle.dumps(serial)) == serial
-        expected = cli.monitor_one(serial)
+        expected = fleet.monitor_one(serial)
 
         # A spawned worker starts from a fresh import: nothing is inherited.
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            result = pool.submit(cli.monitor_one, spawned).result(timeout=120)
+            result = pool.submit(fleet.monitor_one, spawned).result(timeout=120)
         assert result == expected
         for name in ("m00_history.csv", "m00_final.vdct"):
             assert ((tmp_path / "spawned" / name).read_bytes()
@@ -364,7 +370,7 @@ class TestDefaultJobs:
             created.append(workers)
             return [(True, worker(task)) for task in tasks]
 
-        monkeypatch.setattr(cli, "_fork_per_machine", recording_fork)
+        monkeypatch.setattr(fleet, "_fork_per_machine", recording_fork)
         return created
 
     @pytest.mark.parametrize("command", ["train", "monitor"])
@@ -406,7 +412,7 @@ class NeedsTwoArguments(Exception):
 
 
 def fleet_tasks(*machines):
-    return [cli.MachineTask(machine, "", cli.RunConfig(), "csv") for machine in machines]
+    return [fleet.MachineTask(machine, "", cli.RunConfig(), "csv") for machine in machines]
 
 
 class TestForkedWorkers:
@@ -440,12 +446,13 @@ class TestForkedWorkers:
         probe = (
             "import os, signal, sys\n"
             "import vibdict.cli as cli\n"
-            "train_one = cli.train_one\n"
+            "import vibdict.fleet as fleet\n"
+            "train_one = fleet.train_one\n"
             "def killed_on_m01(task):\n"
             "    if task.machine == 'm01':\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
             "    return train_one(task)\n"
-            "cli.train_one = killed_on_m01\n"
+            "fleet.train_one = killed_on_m01\n"
             "try:\n"
             "    cli.main(sys.argv[1:])\n"
             "except RuntimeError as exc:\n"
@@ -464,8 +471,8 @@ class TestForkedWorkers:
 
     def test_large_result_comes_back_intact(self):
         payload = bytes(range(256)) * 4096  # 1 MiB, more than a pipe buffers
-        results = cli._run_per_machine(lambda task: task.machine.encode() + payload,
-                                       fleet_tasks("m00", "m01", "m02"), 2)
+        results = fleet.run_per_machine(lambda task: task.machine.encode() + payload,
+                                        fleet_tasks("m00", "m01", "m02"), 2)
         assert results == [name.encode() + payload for name in ("m00", "m01", "m02")]
 
     def test_first_failure_in_task_order_after_every_machine_ran(self, tmp_path):
@@ -479,7 +486,7 @@ class TestForkedWorkers:
             return task.machine
 
         with pytest.raises(ConfigError, match="^m00 failed last$"):
-            cli._run_per_machine(worker, fleet_tasks("m00", "m01", "m02"), 2)
+            fleet.run_per_machine(worker, fleet_tasks("m00", "m01", "m02"), 2)
         assert (tmp_path / "m02").read_text() == "ran"
 
     @pytest.mark.parametrize("fails_in", ["pickle", "unpickle"])
@@ -495,16 +502,16 @@ class TestForkedWorkers:
             return task.machine
 
         with pytest.raises(RuntimeError, match=f"^machine 'm01': cannot {fails_in} the worker's"):
-            cli._run_per_machine(worker, fleet_tasks("m00", "m01"), 2)
+            fleet.run_per_machine(worker, fleet_tasks("m00", "m01"), 2)
 
     def test_without_fork_runs_serially_in_process(self, monkeypatch):
         def no_fan_out(*args):
             raise AssertionError("no fork fan-out without os.fork")
 
         monkeypatch.delattr(os, "fork")
-        monkeypatch.setattr(cli, "_fork_per_machine", no_fan_out)
-        results = cli._run_per_machine(lambda task: (task.machine, os.getpid()),
-                                       fleet_tasks("m00", "m01"), 2)
+        monkeypatch.setattr(fleet, "_fork_per_machine", no_fan_out)
+        results = fleet.run_per_machine(lambda task: (task.machine, os.getpid()),
+                                        fleet_tasks("m00", "m01"), 2)
         assert results == [("m00", os.getpid()), ("m01", os.getpid())]
 
     def test_fork_warning_of_threaded_parent_is_hidden(self, monkeypatch):
@@ -520,8 +527,8 @@ class TestForkedWorkers:
         monkeypatch.setattr(os, "fork", warning_fork)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            results = cli._run_per_machine(lambda task: task.machine,
-                                           fleet_tasks("m00", "m01"), 2)
+            results = fleet.run_per_machine(lambda task: task.machine,
+                                            fleet_tasks("m00", "m01"), 2)
         assert results == ["m00", "m01"]
         assert seen == []
 
@@ -801,6 +808,74 @@ class TestProcessEntry:
         )
         done = spawn("-c", probe)
         assert (done.returncode, done.stdout, done.stderr) == (5, "True\n", "")
+
+
+def stage_imports(*argv, watched=()):
+    """Run ``entry()`` on ``argv`` in a fresh process; report its imports.
+
+    Returns two printed lists: the vibdict modules that ``main`` imported
+    beyond those ``entry`` imported before its ``gc.freeze()``, and the
+    ``watched`` modules the process loaded in all.
+    """
+    probe = (
+        "import sys\n"
+        "import vibdict.cli as cli\n"
+        "main = cli.main\n"
+        "def recording_main(argv=None):\n"
+        "    before = set(sys.modules)\n"
+        "    code = main(argv)\n"
+        "    print(sorted(m for m in set(sys.modules) - before if m.startswith('vibdict')))\n"
+        "    return code\n"
+        "cli.main = recording_main\n"
+        "code = cli.entry()\n"
+        f"print(sorted(m for m in sys.modules if m in {tuple(watched)!r}))\n"
+        "sys.exit(code)\n"
+    )
+    done = spawn("-c", probe, *argv)
+    assert done.returncode == 0, done.stderr
+    return tuple(done.stdout.splitlines()[-2:])
+
+
+class TestStageImports:
+    """Each stage loads only the modules its command runs, all before the freeze."""
+
+    def test_package_import_loads_no_submodule(self):
+        done = spawn("-c", "import sys, vibdict\n"
+                           "print(sorted(m for m in sys.modules if m.startswith('vibdict.')))")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+    def test_coding_stages_load_no_detector_or_generator(self, small_fleet, tmp_path):
+        watched = ("vibdict.detect", "vibdict.synth")
+        base = tmp_path / "base"
+        assert stage_imports(*train_args(small_fleet, base, jobs=2),
+                             watched=watched) == ("[]", "[]")
+        assert stage_imports("monitor", "--input", small_fleet, "--baseline", base,
+                             "--output", tmp_path / "mon", "--atoms", 2, "--jobs", 2,
+                             watched=watched) == ("[]", "[]")
+        assert (tmp_path / "mon" / "m01_history.csv").exists()
+
+    def test_analysis_stages_load_no_coder(self, small_fleet, tmp_path):
+        watched = ("vibdict.coding", "vibdict.learning", "vibdict.fleet", "vibdict.synth",
+                   "fractions")
+        assert run(*train_args(small_fleet, tmp_path / "base")) == 0
+        assert run("monitor", "--input", small_fleet, "--baseline", tmp_path / "base",
+                   "--output", tmp_path / "mon", "--atoms", 2) == 0
+        ind = tmp_path / "ind"
+        assert stage_imports("indicators", "--history", tmp_path / "mon", "--output", ind,
+                             watched=watched) == ("[]", "[]")
+        assert stage_imports("roc", "--indicators", *sorted(ind.glob("*_distance_mad.csv")),
+                             "--labels", small_fleet / "labels.csv", "--output",
+                             tmp_path / "roc.csv", "--indicator", "slope", "--slope-window", 2,
+                             watched=watched) == ("[]", "[]")
+
+    def test_other_commands_import_everything_before_the_freeze(self, small_fleet, tmp_path):
+        assert run(*train_args(small_fleet / "m00", tmp_path / "base")) == 0
+        vdct = tmp_path / "base" / "m00.vdct"
+        for argv in (["distance", vdct, vdct], ["atom-info", vdct],
+                     ["synth", "--output", tmp_path / "fleet", "--machines", 1,
+                      "--segments", 2, "--segment-len", 256, "--fault-machine", -1]):
+            assert stage_imports(*argv)[0] == "[]"
+
 
 class TestAtomInfo:
     def test_prints_per_atom_lines(self, small_fleet, tmp_path, capsys):

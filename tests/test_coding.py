@@ -23,7 +23,7 @@ from vibdict.dictionary import Atom, Dictionary, init_pseudorandom, unit_normali
 from vibdict.errors import DataError
 from vibdict.ingest import SignalSegment, preprocess
 
-from oracles import lstsq_amplitudes, naive_mp, naive_omp
+from oracles import fraction_budget, lstsq_amplitudes, naive_mp, naive_omp
 
 
 def random_dictionary(rng, num_atoms=3, min_len=8, max_len=32):
@@ -51,6 +51,18 @@ class TestBudget:
         cfg = CodingConfig("mp", sparsity=0.9)
         for n in (10, 20, 12800, 16000):
             assert instance_budget(n, cfg) == n // 10
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(
+        sparsity=st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.sampled_from([0.0, 1e-05, 2.5e-07, 5e-324, 0.1, 0.3, 0.9, 0.99999999999]),
+        ),
+        segment_len=st.integers(1, 10**6),
+    )
+    def test_matches_exact_fraction_of_decimal_text(self, sparsity, segment_len):
+        assert (instance_budget(segment_len, CodingConfig("mp", sparsity=sparsity))
+                == fraction_budget(segment_len, sparsity))
 
     def test_override_takes_precedence(self):
         cfg = CodingConfig("mp", sparsity=0.9, n_instances=1600)

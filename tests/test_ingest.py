@@ -34,6 +34,11 @@ class TestSignalSegment:
         with pytest.raises(ValueError):
             SignalSegment(np.ones(4), 0.0, 0, "m")
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_non_finite_rate_like_nonpositive(self, rate):
+        with pytest.raises(ValueError, match="^sample_rate must be positive and finite$"):
+            SignalSegment(np.ones(4), rate, 0, "m")
+
     def test_len_and_dtype(self):
         seg = make_segment([1, 2, 3])
         assert len(seg) == 3

@@ -5,18 +5,15 @@ from vibdict.coding import AtomInstance, CodingConfig, SparseCode, encode, recon
 from vibdict.dictionary import Atom, Dictionary, init_pseudorandom, unit_normalize
 from vibdict.ingest import SignalSegment, preprocess
 from vibdict.learning import (
-    HistoryRecord,
     LearnConfig,
     MonitorState,
     gradient_directions,
     gradient_update,
-    load_history_csv,
     monitor_segments,
     monitor_step,
-    save_history_csv,
     train_baseline,
 )
-from vibdict.metrics import dictionary_distance
+from vibdict.metrics import HistoryRecord, dictionary_distance, load_history_csv, save_history_csv
 
 
 def log_likelihood_term(segment, instances, dictionary, noise_var):
