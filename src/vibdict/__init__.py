@@ -4,8 +4,8 @@ The toolkit learns a small dictionary of unit-norm waveforms (atoms) from
 healthy vibration segments by alternating convolutional greedy sparse
 coding with online gradient updates, then tracks machine health through
 dictionary-based indicators: reconstruction fidelity, distance to the
-baseline dictionary, adaptation rate, and fleet-relative MAD scores, with
-ROC evaluation against labeled fault windows.
+baseline dictionary, and fleet-relative MAD scores, with ROC evaluation
+against labeled fault windows.
 
 The names below are imported on first use (PEP 562), so ``import
 vibdict`` loads no submodule and each command loads only what it runs.
@@ -29,9 +29,8 @@ _EXPORTS = {
                "rms", "sample_blocks"),
     "learning": ("LearnConfig", "MonitorState", "TrainResult", "gradient_update",
                  "monitor_segments", "monitor_step", "train_baseline"),
-    "metrics": ("HistoryRecord", "IndicatorSeries", "adaptation_rate", "atom_coherence",
-                "atom_similarity_beta", "dictionary_distance", "dictionary_spread",
-                "fidelity_db", "lowpass", "mad_scores", "mad_series"),
+    "metrics": ("HistoryRecord", "IndicatorSeries", "atom_coherence", "atom_similarity_beta",
+                "dictionary_distance", "fidelity_db", "lowpass", "mad_scores", "mad_series"),
     "synth": ("FaultSpec", "SynthSpec", "default_fleet_specs", "default_planted_atoms",
               "gabor_atom", "generate_fleet", "generate_segment", "write_fleet"),
 }

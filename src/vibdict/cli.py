@@ -14,7 +14,10 @@ Configuration comes from defaults, then an optional flat key=value config
 file, then explicit flags, in increasing precedence. Every command that
 writes an output directory drops an ``effective_config.txt`` there so
 runs are replayable. Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numeric failure.
+3 data error, 4 numeric failure. Each command reports a bad flag as a
+configuration error where it uses the flag, and a bad file as a data
+error naming it; any other exception, a bug's ValueError included,
+propagates with its traceback.
 
 Each command imports the modules it runs inside its handler, so a stage
 loads no coder, detector or generator that it does not use.
@@ -61,18 +64,16 @@ class RunConfig:
     output: str = ""
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if not 0.0 <= self.sparsity < 1.0:
-            raise ConfigError(f"sparsity must be in [0, 1), got {self.sparsity}")
-        if not (math.isfinite(self.eta) and self.eta >= 0):
-            raise ConfigError(f"eta must be finite and >= 0, got {self.eta}")
+        # algorithm, sparsity and eta are checked by the coder and learner
+        # configs that fleet.coder_configs builds from them.
         if self.atoms < 1 or self.core_len < 1 or self.pad < 0:
             raise ConfigError("atoms and core_len must be >= 1, pad >= 0")
         if not (math.isfinite(self.rms_gate) and self.rms_gate >= 0):
             raise ConfigError(f"rms_gate must be finite and >= 0, got {self.rms_gate}")
         if self.train_blocks < 1 or self.block_len < 1:
             raise ConfigError("train_blocks and block_len must be >= 1")
+        if self.block_len < 2:  # a block of one sample has no variance to standardize
+            raise ConfigError("block_len must be >= 2")
 
 
 # Field name -> annotated type, which also converts the config file's text.
@@ -147,6 +148,7 @@ def cmd_train(args) -> int:
             f"seed atoms of core_len + 2 * pad = {cfg.core_len + 2 * cfg.pad} samples "
             f"do not fit in block_len={cfg.block_len}"
         )
+    fleet.coder_configs(cfg)
     write_effective_config(cfg, cfg.output)
     machines = _machine_dirs(cfg.input)
     tasks = [fleet.MachineTask(machine, indir, cfg, args.format) for machine, indir in machines]
@@ -169,6 +171,7 @@ def cmd_monitor(args) -> int:
         raise ConfigError("monitor requires --input and --output")
     if args.mode == "foreign" and not args.foreign:
         raise ConfigError("--mode foreign requires --foreign DICT")
+    fleet.coder_configs(cfg)
     write_effective_config(cfg, cfg.output)
     machines = _machine_dirs(cfg.input)
     tasks = [
@@ -215,7 +218,10 @@ def _history_files(history_dir: str) -> list[tuple[str, str]]:
 def cmd_indicators(args) -> int:
     from . import metrics
 
-    metrics.check_time_constant(args.time_constant)
+    try:
+        metrics.check_time_constant(args.time_constant)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     os.makedirs(args.output, exist_ok=True)
     smoothed: dict[str, metrics.IndicatorSeries] = {}
     for machine, path in _history_files(args.history):
@@ -268,14 +274,17 @@ def cmd_roc(args) -> int:
             machine, series.timestamps, series.values
         )
     windows = detect.load_labels_csv(args.labels)
-    if args.indicator == "slope":
-        sloped = {}
-        for m, s in series_by_machine.items():
-            d = detect.slope_indicator(s, args.slope_window)
-            sloped[m] = metrics.IndicatorSeries(m, d.timestamps, d.values)
-        series_by_machine = sloped
-    elif args.indicator == "min-diff":
-        series_by_machine = detect.min_diff_series(list(series_by_machine.values()))
+    try:  # a series shorter than --slope-window, or too few series for min-diff
+        if args.indicator == "slope":
+            sloped = {}
+            for m, s in series_by_machine.items():
+                d = detect.slope_indicator(s, args.slope_window)
+                sloped[m] = metrics.IndicatorSeries(m, d.timestamps, d.values)
+            series_by_machine = sloped
+        elif args.indicator == "min-diff":
+            series_by_machine = detect.min_diff_series(list(series_by_machine.values()))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     curve = detect.roc_curve(detect.series_samples(series_by_machine), windows)
     detect.save_roc_csv(curve, args.output)
     print(f"auc={curve.auc:.6f}")
@@ -293,19 +302,22 @@ def cmd_synth(args) -> int:
             f"fault machine index {args.fault_machine} out of range for {args.machines} machines"
         )
     onset = args.start_time + args.fault_onset_segment * args.cadence
-    specs = []
-    for base in synth.default_fleet_specs(
-        args.machines, args.fault_machine, onset, cfg.seed
-    ):
-        if base.fault is not None:
-            fault = synth.FaultSpec(
-                onset, args.impulse_period, args.impulse_amp, args.impulse_decay
-            )
-            base = replace(base, fault=fault)
-        specs.append(base)
-    fleet, windows = synth.generate_fleet(
-        specs, args.segments, args.segment_len, args.cadence, args.start_time
-    )
+    try:  # synth reads no file, so a ValueError here comes from a flag
+        specs = []
+        for base in synth.default_fleet_specs(
+            args.machines, args.fault_machine, onset, cfg.seed
+        ):
+            if base.fault is not None:
+                fault = synth.FaultSpec(
+                    onset, args.impulse_period, args.impulse_amp, args.impulse_decay
+                )
+                base = replace(base, fault=fault)
+            specs.append(base)
+        fleet, windows = synth.generate_fleet(
+            specs, args.segments, args.segment_len, args.cadence, args.start_time
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     synth.write_fleet(fleet, windows, cfg.output, args.format)
     write_effective_config(cfg, cfg.output)
     print(
@@ -318,6 +330,10 @@ def cmd_synth(args) -> int:
 def cmd_atom_info(args) -> int:
     from . import dictionary, metrics
 
+    try:
+        metrics.check_sample_rate(args.sample_rate)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     d = dictionary.load_dictionary(args.dict)
     lines = [f"{args.dict}: {len(d.atoms)} atoms, generation {d.generation}"]
     for atom in d.atoms:
@@ -328,28 +344,31 @@ def cmd_atom_info(args) -> int:
             f"atom {atom.id}: length {len(atom)}, norm {norm:.6f}, "
             f"peak {peak:.1f} Hz, centroid {centroid:.1f} Hz"
         )
-    # All lines are built first, so a bad --sample-rate prints nothing.
     print("\n".join(lines))
     return 0
 
 
-def _add_common_flags(sub, with_io=True):
+def _add_config_flags(sub):
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--seed", type=int, default=None, help="run seed")
+
+
+def _add_common_flags(sub):
+    """Flags of the commands that code segments: train and monitor."""
+    _add_config_flags(sub)
     sub.add_argument("--algo", choices=ALGORITHMS, default=None, help="coder")
     sub.add_argument("--eta", type=float, default=None, help="learning rate")
     sub.add_argument("--sparsity", type=float, default=None, help="target sparsity in [0,1)")
     sub.add_argument("--rms-gate", dest="rms_gate", type=float, default=None,
                      help="segment RMS gate in G")
-    if with_io:
-        sub.add_argument("--input", default=None, help="segment directory")
-        sub.add_argument("--output", default=None, help="output directory")
-        sub.add_argument("--format", choices=sorted(ingest.FORMATS), default="csv",
-                         help="segment file format")
-        sub.add_argument("--jobs", type=int, default=None,
-                         help="worker processes, each running whole machines "
-                              "(default: one per usable CPU, at most one per "
-                              "machine; 1: run in this process)")
+    sub.add_argument("--input", default=None, help="segment directory")
+    sub.add_argument("--output", default=None, help="output directory")
+    sub.add_argument("--format", choices=sorted(ingest.FORMATS), default="csv",
+                     help="segment file format")
+    sub.add_argument("--jobs", type=int, default=None,
+                     help="worker processes, each running whole machines "
+                          "(default: one per usable CPU, at most one per "
+                          "machine; 1: run in this process)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roc)
 
     p = subs.add_parser("synth", help="generate a synthetic fleet with ground-truth labels")
-    _add_common_flags(p, with_io=False)
+    _add_config_flags(p)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=sorted(ingest.FORMATS), default="csv")
     p.add_argument("--machines", type=int, default=6)
@@ -446,9 +465,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 # The modules each command imports where it runs them; entry() imports

@@ -8,12 +8,13 @@ instances, so a dictionary never changes once it has been handed out.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 
 MAGIC = b"VDCT"
 FORMAT_VERSION = 1
@@ -21,7 +22,7 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True, eq=False)
 class Atom:
-    """Unit-norm waveform with a stable integer id."""
+    """Unit-norm waveform with a stable integer id; its samples are finite."""
 
     waveform: np.ndarray
     id: int
@@ -30,6 +31,9 @@ class Atom:
         w = np.asarray(self.waveform, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("waveform must be a nonempty 1-D vector")
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise ValueError(f"atom {self.id}: non-finite sample {w[bad[0]]} at index {bad[0]}")
         object.__setattr__(self, "waveform", w)
 
     def __len__(self):
@@ -63,11 +67,18 @@ class Dictionary:
 
 
 def unit_normalize(waveform: np.ndarray) -> np.ndarray:
-    """Rescale a waveform to unit L2 norm."""
+    """Rescale a waveform to unit L2 norm.
+
+    An all-zero waveform raises ValueError. A norm that is not finite,
+    such as one that overflows after too large a gradient step, raises
+    NumericError instead of dividing every sample down to zero.
+    """
     w = np.asarray(waveform, dtype=np.float64)
     norm = np.linalg.norm(w)
     if norm == 0.0:
         raise ValueError("cannot normalize an all-zero waveform")
+    if not math.isfinite(norm):
+        raise NumericError(f"cannot normalize a waveform of norm {norm}")
     return w / norm
 
 
@@ -142,7 +153,13 @@ def save_dictionary(dictionary: Dictionary, path: str) -> None:
 
 
 def load_dictionary(path: str) -> Dictionary:
-    """Read a dictionary written by :func:`save_dictionary`."""
+    """Read a dictionary written by :func:`save_dictionary`.
+
+    Any fault of the file, including content that :class:`Atom` or
+    :class:`Dictionary` rejects (no atoms, repeated ids, an empty waveform,
+    a non-finite sample) and a waveform of zero norm, which no atom
+    comparison can use, raises DataError naming it.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
 
@@ -158,14 +175,20 @@ def load_dictionary(path: str) -> Dictionary:
     version, natoms = struct.unpack("<II", chunk)
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported dictionary format version {version}")
-    atoms = []
+    waveforms = []
     for _ in range(natoms):
         chunk, pos = take(pos, 8, "atom header")
         atom_id, length = struct.unpack("<II", chunk)
         chunk, pos = take(pos, 8 * length, f"waveform of atom {atom_id}")
-        atoms.append(Atom(np.frombuffer(chunk, dtype="<f8").copy(), atom_id))
+        waveforms.append((atom_id, np.frombuffer(chunk, dtype="<f8").copy()))
     chunk, pos = take(pos, 8, "generation counter")
     (generation,) = struct.unpack("<Q", chunk)
     if pos != len(blob):
         raise DataError(f"{path}: {len(blob) - pos} trailing byte(s) after generation counter")
-    return Dictionary(tuple(atoms), generation=generation)
+    try:
+        for atom_id, waveform in waveforms:
+            if waveform.size and np.linalg.norm(waveform) == 0.0:
+                raise ValueError(f"atom {atom_id}: waveform of zero norm")
+        return Dictionary(tuple(Atom(w, atom_id) for atom_id, w in waveforms), generation)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -16,7 +16,7 @@ import sys
 import typing
 import warnings
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +54,14 @@ def machine_seed(base_seed: int, machine: str) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def coder_configs(cfg: RunConfig) -> tuple[coding.CodingConfig, learning.LearnConfig]:
+    """The coder and learner settings of a run; a bad one raises ConfigError."""
+    try:
+        return coding.CodingConfig(cfg.algorithm, cfg.sparsity), learning.LearnConfig(eta=cfg.eta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _prepared_segments(indir: str, fmt: str, cfg: RunConfig):
     """Load, gate, and standardize one machine's segments.
 
@@ -69,6 +77,7 @@ def _prepared_segments(indir: str, fmt: str, cfg: RunConfig):
 def train_one(task: MachineTask) -> tuple[float, int]:
     """Train and save one machine's baseline; return (final fidelity dB, growth events)."""
     cfg, machine = task.cfg, task.machine
+    coding_cfg, learn_cfg = coder_configs(cfg)
     available, gated, prepared = _prepared_segments(task.indir, task.fmt, cfg)
     usable = [s for s in prepared if len(s) >= cfg.block_len]
     if not usable:
@@ -81,12 +90,7 @@ def train_one(task: MachineTask) -> tuple[float, int]:
         usable, cfg.block_len, cfg.train_blocks, machine_seed(cfg.seed, machine)
     )
     init = dictionary.init_pseudorandom(cfg.atoms, cfg.core_len, cfg.pad, cfg.seed)
-    result = learning.train_baseline(
-        blocks,
-        init,
-        coding.CodingConfig(cfg.algorithm, cfg.sparsity),
-        learning.LearnConfig(eta=cfg.eta),
-    )
+    result = learning.train_baseline(blocks, init, coding_cfg, learn_cfg)
     dictionary.save_dictionary(
         result.dictionary, os.path.join(cfg.output, f"{machine}.vdct")
     )
@@ -116,9 +120,9 @@ def _baseline_for(machine: str, baseline_path: str, cfg: RunConfig):
 def monitor_one(task: MachineTask) -> tuple[int, metrics.HistoryRecord | None]:
     """Monitor one machine and save its outputs; return (records, last record)."""
     cfg, machine = task.cfg, task.machine
-    eta = 0.0 if task.mode in ("frozen", "foreign") else cfg.eta
-    coding_cfg = coding.CodingConfig(cfg.algorithm, cfg.sparsity)
-    learn_cfg = learning.LearnConfig(eta=eta)
+    coding_cfg, learn_cfg = coder_configs(cfg)
+    if task.mode in ("frozen", "foreign"):
+        learn_cfg = replace(learn_cfg, eta=0.0)
     own = _baseline_for(machine, task.baseline, cfg)
     live = _load_baseline(task.foreign, cfg) if task.mode == "foreign" else own
     _, _, prepared = _prepared_segments(task.indir, task.fmt, cfg)

@@ -41,7 +41,8 @@ class SignalSegment:
     """Timestamped fixed-rate sample vector.
 
     ``samples`` are acceleration values in G for raw field data, or
-    dimensionless after :func:`preprocess`.
+    dimensionless after :func:`preprocess`. A NaN or infinite sample
+    raises DataError naming its index, source and timestamp.
     """
 
     samples: np.ndarray
@@ -57,6 +58,12 @@ class SignalSegment:
             raise ValueError("sample_rate must be positive and finite")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "timestamp", int(self.timestamp))
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if bad.size:
+            raise DataError(
+                f"non-finite sample {samples[bad[0]]} at index {bad[0]} "
+                f"(source {self.source_id}, t={self.timestamp})"
+            )
 
     def __len__(self):
         return self.samples.size
@@ -219,13 +226,10 @@ def _read_raw_segment(path: str, dtype: str) -> SignalSegment:
         raise DataError(f"{path}: unreadable file: {exc}") from exc
     if samples.size == 0:
         raise DataError(f"{path}: no samples in file")
-    bad = np.flatnonzero(~np.isfinite(samples))
-    if bad.size:
-        raise DataError(
-            f"{path}: non-finite sample {samples[bad[0]]} at index {bad[0]} "
-            f"(source {source_id}, t={timestamp})"
-        )
-    return SignalSegment(samples.astype(np.float64), sample_rate, timestamp, source_id)
+    try:
+        return SignalSegment(samples.astype(np.float64), sample_rate, timestamp, source_id)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_segments(path: str, format: str = "csv") -> list[SignalSegment]:
@@ -282,34 +286,21 @@ def save_segment_raw(segment: SignalSegment, path: str, format: str = "raw_f64le
         fh.write(f"source_id={segment.source_id}\n")
 
 
-def _require_finite(segment: SignalSegment) -> None:
-    """Raise DataError naming the segment if any sample is NaN or infinite."""
-    bad = np.flatnonzero(~np.isfinite(segment.samples))
-    if bad.size:
-        raise DataError(
-            f"non-finite sample {segment.samples[bad[0]]} at index {bad[0]} "
-            f"(source {segment.source_id}, t={segment.timestamp})"
-        )
-
-
 def gate_by_rms(segments: list[SignalSegment], gate: SegmentGate) -> list[SignalSegment]:
     """Keep segments whose raw-amplitude RMS is strictly above the threshold.
 
     Idempotent; preserves input order. Apply before :func:`preprocess`,
-    since the threshold is physical (G). A non-finite sample raises
-    DataError instead of failing the comparison and dropping the segment.
+    since the threshold is physical (G). Segments hold finite samples
+    only, so no NaN can fail the comparison and drop a segment unseen.
     """
-    for seg in segments:
-        _require_finite(seg)
     return [seg for seg in segments if rms(seg.samples) > gate.rms_threshold]
 
 
 def preprocess(segment: SignalSegment) -> SignalSegment:
     """Standardize a segment to zero mean and unit population variance.
 
-    Raises DataError for a non-finite sample or a zero-variance segment.
+    Raises DataError for a zero-variance segment.
     """
-    _require_finite(segment)
     x = segment.samples
     mean = x.mean()
     var = x.var()

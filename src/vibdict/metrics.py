@@ -1,10 +1,9 @@
 """Health indicators derived from sparse codes and dictionary geometry.
 
 Covers reconstruction fidelity in dB, a shift-invariant dictionary
-distance in degrees, the adaptation-rate series built from dictionary
-snapshots, first-order lowpass smoothing, and robust MAD outlier scores
-for fleet comparison, plus the CSV files of indicators and monitoring
-histories.
+distance in degrees, first-order lowpass smoothing, and robust MAD
+outlier scores for fleet comparison, plus the CSV files of indicators
+and monitoring histories.
 """
 
 from __future__ import annotations
@@ -76,11 +75,6 @@ def atom_similarity_beta(a: Atom, b: Atom) -> float:
     return math.degrees(math.acos(atom_coherence(a, b)))
 
 
-def _beta_matrix(rows: tuple[Atom, ...], cols: tuple[Atom, ...]) -> list[list[float]]:
-    """Angles beta(a, b) in degrees for every atom a of ``rows`` and b of ``cols``."""
-    return [[atom_similarity_beta(a, b) for b in cols] for a in rows]
-
-
 def dictionary_distance(phi: Dictionary, other: Dictionary) -> float:
     """Symmetric shift-invariant distance between dictionaries, in degrees.
 
@@ -95,49 +89,10 @@ def dictionary_distance(phi: Dictionary, other: Dictionary) -> float:
     Coherence is symmetric, so one matrix of pairwise angles serves both
     directions: forward minima over its rows, backward over its columns.
     """
-    if not phi.atoms or not other.atoms:
-        raise ValueError("cannot compare empty dictionaries")
-    beta = _beta_matrix(phi.atoms, other.atoms)
+    beta = [[atom_similarity_beta(a, b) for b in other.atoms] for a in phi.atoms]
     forward = sum(min(row) for row in beta) / len(phi.atoms)
     backward = sum(min(col) for col in zip(*beta)) / len(other.atoms)
     return 0.5 * (forward + backward)
-
-
-def dictionary_spread(phi: Dictionary) -> float:
-    """Mean angle from each atom to its nearest *other* atom, in degrees.
-
-    Unlike :func:`dictionary_distance` applied to (phi, phi), which is
-    identically zero, this excludes self-matches and measures how spread
-    out the dictionary is. Requires at least two atoms.
-    """
-    if len(phi.atoms) < 2:
-        raise ValueError("spread needs at least two atoms")
-    beta = _beta_matrix(phi.atoms, phi.atoms)
-    nearest = (min(b for j, b in enumerate(row) if j != i) for i, row in enumerate(beta))
-    return sum(nearest) / len(phi.atoms)
-
-
-def adaptation_rate(snapshots, lag: int = 1) -> IndicatorSeries:
-    """Dictionary distance between snapshots ``lag`` steps apart.
-
-    ``snapshots`` is a sequence of (timestamp, Dictionary) pairs in
-    increasing time order. Point k of the result is the distance between
-    the dictionaries at positions k and k - lag, stamped at time k, so a
-    frozen dictionary yields an identically zero series.
-    """
-    if lag < 1:
-        raise ValueError("lag must be >= 1")
-    snapshots = list(snapshots)
-    if len(snapshots) <= lag:
-        raise ValueError(f"need more than lag={lag} snapshots, got {len(snapshots)}")
-    times = []
-    values = []
-    for k in range(lag, len(snapshots)):
-        t_now, d_now = snapshots[k]
-        _, d_past = snapshots[k - lag]
-        times.append(t_now)
-        values.append(dictionary_distance(d_past, d_now))
-    return IndicatorSeries("adaptation_rate", np.asarray(times), np.asarray(values))
 
 
 def fidelity_db(segment_samples: np.ndarray, residual: np.ndarray) -> float:
@@ -283,14 +238,15 @@ def load_history_csv(path: str) -> tuple[HistoryRecord, ...]:
     return tuple(records)
 
 
-def _check_sample_rate(sample_rate: float) -> None:
+def check_sample_rate(sample_rate: float) -> None:
+    """Raise ValueError unless a sample rate is positive and finite."""
     if not (math.isfinite(sample_rate) and sample_rate > 0):
         raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
 
 
 def center_frequency(atom: Atom, sample_rate: float) -> float:
     """Spectral centroid of an atom in Hz (power-weighted mean frequency)."""
-    _check_sample_rate(sample_rate)
+    check_sample_rate(sample_rate)
     spectrum = np.abs(np.fft.rfft(atom.waveform)) ** 2
     freqs = np.fft.rfftfreq(len(atom), d=1.0 / sample_rate)
     total = float(np.sum(spectrum))
@@ -301,7 +257,7 @@ def center_frequency(atom: Atom, sample_rate: float) -> float:
 
 def peak_frequency(atom: Atom, sample_rate: float) -> float:
     """Frequency of the magnitude-spectrum peak of an atom, in Hz."""
-    _check_sample_rate(sample_rate)
+    check_sample_rate(sample_rate)
     magnitude = np.abs(np.fft.rfft(atom.waveform))
     freqs = np.fft.rfftfreq(len(atom), d=1.0 / sample_rate)
     return float(freqs[int(np.argmax(magnitude))])

@@ -6,6 +6,7 @@ optimized paths. Slow on purpose; correctness is the only goal.
 """
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -238,3 +239,28 @@ def midpoint_auc(fpr, tpr, substeps=20000):
         heights = tpr[i] + (tpr[i + 1] - tpr[i]) * u
         total += dx * float(np.mean(heights))
     return total
+
+
+def vdct_bytes(atoms, generation=0):
+    """A ``.vdct`` file encoded field by field, for (id, samples) pairs.
+
+    Unlike ``save_dictionary`` it takes any content, so tests can write
+    files that the loader must reject.
+    """
+    blob = b"VDCT" + struct.pack("<II", 1, len(atoms))
+    for atom_id, samples in atoms:
+        blob += struct.pack("<II", atom_id, len(samples))
+        blob += np.asarray(samples, dtype="<f8").tobytes()
+    return blob + struct.pack("<Q", generation)
+
+
+# Well-formed files whose content no dictionary may hold: case name ->
+# ((id, samples) pairs, the message the loader reports after the path).
+MALFORMED_VDCT = {
+    "no_atoms": ([], "dictionary must contain at least one atom"),
+    "duplicate_ids": ([(4, [1.0]), (4, [-1.0])], "atom ids must be unique, got [4, 4]"),
+    "empty_waveform": ([(0, [1.0]), (1, [])], "waveform must be a nonempty 1-D vector"),
+    "nan_sample": ([(0, [0.6, math.nan, 0.8])], "atom 0: non-finite sample nan at index 1"),
+    "all_zero_waveform": ([(2, [0.0, -0.0])], "atom 2: waveform of zero norm"),
+    "norm_underflows": ([(5, [5e-324, 0.0])], "atom 5: waveform of zero norm"),
+}

@@ -28,7 +28,10 @@ from vibdict.metrics import (
     load_indicator_csv,
     lowpass,
     mad_series,
+    save_indicator_csv,
 )
+
+from oracles import MALFORMED_VDCT, vdct_bytes
 
 
 def run(*argv):
@@ -154,6 +157,16 @@ class TestTrain:
         assert "core_len + 2 * pad = 136 samples do not fit in block_len=128" in (
             capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("jobs", [(), ("--jobs", "1")])
+    def test_norm_overflow_is_numeric_error(self, small_fleet, tmp_path, capsys, jobs):
+        # An update's norm overflows at this eta; dividing by it once wrote
+        # all-zero atoms and reported a final fidelity of -200 dB.
+        assert run(*train_args(small_fleet, tmp_path / "out", eta="1e300"), *jobs) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric error: cannot normalize a waveform of norm inf\n"
 
     def test_does_not_mutate_inputs(self, small_fleet, tmp_path):
         def digest():
@@ -563,6 +576,28 @@ class TestDistance:
         assert run("distance", tmp_path / "a.vdct", tmp_path / "b.vdct") == 3
 
 
+class TestMalformedDictionary:
+    """A .vdct whose content no dictionary may hold exits 3 naming the file."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_VDCT))
+    @pytest.mark.parametrize("command", ["distance", "atom-info", "monitor"])
+    def test_data_error_names_the_file(self, small_fleet, tmp_path, capsys, command, case):
+        atoms, message = MALFORMED_VDCT[case]
+        bad = tmp_path / f"{case}.vdct"
+        bad.write_bytes(vdct_bytes(atoms))
+        good = tmp_path / "good.vdct"
+        save_dictionary(init_pseudorandom(1, 12, 3, 11), str(good))
+        argv = {
+            "distance": ["distance", good, bad],
+            "atom-info": ["atom-info", bad],
+            "monitor": ["monitor", "--input", small_fleet, "--baseline", bad,
+                        "--output", tmp_path / "mon", "--atoms", 1],
+        }[command]
+        capsys.readouterr()
+        assert run(*argv) == 3
+        assert capsys.readouterr() == ("", f"data error: {bad}: {message}\n")
+
+
 class TestIndicatorsAndRoc:
     @pytest.fixture()
     def history_dir(self, small_fleet, tmp_path):
@@ -705,6 +740,14 @@ class TestConfigHandling:
     def test_missing_required_paths_rejected(self, capsys):
         assert run("train", "--output", "somewhere") == 2
 
+    def test_value_error_in_handler_propagates(self, monkeypatch):
+        def bug(args):
+            raise ValueError("a bug, not a bad flag")
+
+        monkeypatch.setattr(cli, "cmd_distance", bug)
+        with pytest.raises(ValueError, match="^a bug, not a bad flag$"):
+            cli.main(["distance", "a", "b"])
+
     def test_numeric_error_maps_to_exit_4(self, monkeypatch, capsys):
         def boom(args):
             raise NumericError("synthetic numeric failure")
@@ -773,6 +816,105 @@ class TestNonFiniteFlags:
         assert run("indicators", "--history", history, "--output", out,
                    "--time-constant", value) == 2
         assert capsys.readouterr().err.startswith("config error: time_constant must be ")
+        assert not out.exists()
+
+
+class TestFlagErrors:
+    """A bad flag exits 2 with the message of the check that rejects it.
+
+    Each command raises the ConfigError where it uses the flag; none of
+    these reaches ``main`` as a ValueError.
+    """
+
+    @staticmethod
+    def expect(capsys, argv, message):
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--block-len", 1, "--core-len", 1, "--pad", 0], "block_len must be >= 2"),
+        (["--sparsity", "1.5"], "sparsity must be in [0, 1), got 1.5"),
+        (["--config", "lasso.cfg"], "algorithm must be one of ('mp', 'omp'), got 'lasso'"),
+    ])
+    def test_train(self, small_fleet, tmp_path, monkeypatch, capsys, extra, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "lasso.cfg").write_text("algorithm = lasso\n")
+        out = tmp_path / "out"
+        self.expect(capsys, train_args(small_fleet, out) + extra, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--eta", "inf", "--mode", "frozen"], "eta must be finite and >= 0, got inf"),
+        (["--sparsity", "-0.1"], "sparsity must be in [0, 1), got -0.1"),
+        (["--config", "lasso.cfg"], "algorithm must be one of ('mp', 'omp'), got 'lasso'"),
+    ])
+    def test_monitor(self, small_fleet, tmp_path, monkeypatch, capsys, extra, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "lasso.cfg").write_text("algorithm = lasso\n")
+        baseline = tmp_path / "base.vdct"
+        save_dictionary(init_pseudorandom(2, 12, 3, 11), str(baseline))
+        out = tmp_path / "out"
+        self.expect(capsys, ["monitor", "--input", small_fleet, "--baseline", baseline,
+                             "--output", out, "--atoms", 2, *extra], message)
+        assert not out.exists()
+
+    # TestNonFiniteFlags covers nan, 0 and -1 for indicators, nan and inf for atom-info.
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_indicators(self, tmp_path, capsys, value):
+        history = tmp_path / "hist"
+        history.mkdir()
+        (history / "m00_history.csv").write_text(
+            "timestamp,fidelity_db,distance_deg,n_instances\n10,1.0,0.1,3\n")
+        self.expect(capsys, ["indicators", "--history", history, "--output", tmp_path / "out",
+                             f"--time-constant={value}"],
+                    f"time_constant must be positive and finite, got {float(value)}")
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_atom_info(self, tmp_path, capsys, value):
+        path = tmp_path / "d.vdct"
+        save_dictionary(init_pseudorandom(2, 12, 3, 11), str(path))
+        self.expect(capsys, ["atom-info", path, "--sample-rate", value],
+                    f"sample_rate must be positive and finite, got {float(value)}")
+
+    @pytest.mark.parametrize("machines, extra, message", [
+        (["m00"], ["--indicator", "slope", "--slope-window", 1], "window must be >= 2"),
+        (["m00"], ["--indicator", "slope", "--slope-window", 0], "window must be >= 2"),
+        (["m00"], ["--indicator", "slope", "--slope-window", 6],
+         "series of length 5 shorter than window 6"),
+        (["m00"], ["--indicator", "min-diff"], "need at least two machines"),
+        (["m00", "m01"], ["--indicator", "min-diff"], "series 'm01' is not aligned with 'm00'"),
+    ])
+    def test_roc(self, tmp_path, capsys, machines, extra, message):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("machine_id,start,end,label\nm00,0,1000,healthy\n"
+                          "m01,0,1000,faulty\n")
+        paths = []
+        for k, machine in enumerate(machines):
+            # m01 starts one step later than m00, so the two are not aligned
+            times = np.arange(1, 6) * 100 + 100 * k
+            paths.append(tmp_path / f"{machine}.csv")
+            save_indicator_csv(IndicatorSeries("distance", times, np.arange(5.0)),
+                               str(paths[-1]), machine=machine)
+        self.expect(capsys, ["roc", "--indicators", *paths, "--labels", labels,
+                             "--output", tmp_path / "roc.csv", *extra], message)
+        assert not (tmp_path / "roc.csv").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--machines", 0, "--fault-machine", -1], "machines must be >= 1"),
+        (["--machines", 0], "fault machine index 0 out of range for 0 machines"),
+        (["--segments", 0], "segments, segment_len and cadence must be positive"),
+        (["--segment-len", -1], "segments, segment_len and cadence must be positive"),
+        (["--cadence", 0], "segments, segment_len and cadence must be positive"),
+        (["--segment-len", 20], "planted atom of length 50 longer than segment of length 20"),
+        (["--impulse-period", 0], "impulse_period must be >= 1"),
+        (["--impulse-decay", 1], "impulse_decay must be in (0, 1)"),
+        (["--impulse-amp=-inf"], "impulse_amp must be finite, got -inf"),
+    ])
+    def test_synth(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "fleet"
+        self.expect(capsys, ["synth", "--output", out, "--machines", 2, "--segments", 4,
+                             "--segment-len", 256, "--fault-onset-segment", 1, *extra], message)
         assert not out.exists()
 
 
@@ -902,6 +1044,15 @@ class TestSynthCommand:
             run("synth", "--output", tmp_path / "f", "--jobs", 2)
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--algo", "omp"), ("--eta", "1e-3"),
+                                             ("--sparsity", "0.5"), ("--rms-gate", "0")])
+    def test_coding_flags_not_accepted(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "--output", tmp_path / "f", flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
 
     def test_fault_machine_out_of_range(self, tmp_path, capsys):
         code = run("synth", "--output", tmp_path / "f", "--machines", 2,

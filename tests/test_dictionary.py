@@ -16,7 +16,9 @@ from vibdict.dictionary import (
     save_dictionary,
     unit_normalize,
 )
-from vibdict.errors import DataError
+from vibdict.errors import DataError, NumericError
+
+from oracles import MALFORMED_VDCT, vdct_bytes
 
 
 class TestNormalize:
@@ -32,6 +34,27 @@ class TestNormalize:
     def test_direction_preserved(self):
         w = np.array([3.0, 4.0])
         np.testing.assert_allclose(unit_normalize(w), [0.6, 0.8])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("w", [np.full(4, 1e300), np.array([1.0, np.inf]),
+                                   np.array([np.nan, 1.0])])
+    def test_non_finite_norm_is_numeric_error(self, w):
+        # 1e300 is finite, but its norm overflows; dividing by it gave zeros
+        with pytest.raises(NumericError, match="^cannot normalize a waveform of norm (inf|nan)$"):
+            unit_normalize(w)
+
+    def test_large_finite_norm_divides_as_before(self):
+        w = np.full(4, 1e150)
+        assert unit_normalize(w).tobytes() == (w / np.linalg.norm(w)).tobytes()
+
+
+class TestAtom:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        w = np.ones(5)
+        w[3] = bad
+        with pytest.raises(ValueError, match=rf"^atom 7: non-finite sample {bad} at index 3$"):
+            Atom(w, 7)
 
 
 class TestInit:
@@ -173,12 +196,32 @@ class TestSerialization:
             load_dictionary(str(path))
 
 
-class TestSerializationProperty:
-    # every float64 bit pattern, NaN payloads included, must survive
-    WAVEFORM = st.integers(1, 200).flatmap(
-        lambda n: arrays(np.uint64, n).map(lambda bits: bits.view(np.float64))
-    )
+class TestMalformedContent:
+    def test_hand_encoding_matches_save(self, tmp_path):
+        d = Dictionary((Atom([0.6, 0.8], 3), Atom([1.0], 9)), generation=5)
+        save_dictionary(d, str(tmp_path / "d.vdct"))
+        assert (tmp_path / "d.vdct").read_bytes() == vdct_bytes(
+            [(3, [0.6, 0.8]), (9, [1.0])], generation=5)
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_VDCT))
+    def test_rejected_naming_the_file(self, tmp_path, case):
+        atoms, message = MALFORMED_VDCT[case]
+        path = tmp_path / f"{case}.vdct"
+        path.write_bytes(vdct_bytes(atoms))
+        with pytest.raises(DataError) as exc:
+            load_dictionary(str(path))
+        assert str(exc.value) == f"{path}: {message}"
+
+
+class TestSerializationProperty:
+    # every finite float64, subnormals and -0.0 included, must survive; a
+    # waveform of zero norm is not an atom a file may hold
+    WAVEFORM = st.integers(1, 200).flatmap(
+        lambda n: arrays(np.float64, n, elements=st.floats(allow_nan=False,
+                                                           allow_infinity=False))
+    ).filter(lambda w: np.linalg.norm(w) > 0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # huge norms
     @settings(derandomize=True, max_examples=20, deadline=None)
     @given(
         st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8, unique=True),

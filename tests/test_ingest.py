@@ -3,6 +3,7 @@ import pytest
 
 from vibdict.errors import ConfigError, DataError
 from vibdict.ingest import (
+    RAW_DTYPES,
     SegmentGate,
     SignalSegment,
     gate_by_rms,
@@ -38,6 +39,14 @@ class TestSignalSegment:
     def test_rejects_non_finite_rate_like_nonpositive(self, rate):
         with pytest.raises(ValueError, match="^sample_rate must be positive and finite$"):
             SignalSegment(np.ones(4), rate, 0, "m")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_sample(self, bad):
+        x = np.ones(8)
+        x[3] = bad
+        with pytest.raises(DataError,
+                           match=rf"^non-finite sample {bad} at index 3 \(source m3, t=77\)$"):
+            make_segment(x, t=77, source="m3")
 
     def test_len_and_dtype(self):
         seg = make_segment([1, 2, 3])
@@ -205,10 +214,11 @@ class TestRawRoundTrip:
 
     @pytest.mark.parametrize("fmt", ["raw_f32le", "raw_f64le"])
     def test_non_finite_sample_names_file_and_index(self, tmp_path, fmt):
-        x = np.ones(32)
-        x[8] = np.nan
         path = tmp_path / "seg_00002.bin"
-        save_segment_raw(make_segment(x, t=86400, source="m00"), str(path), fmt)
+        save_segment_raw(make_segment(np.ones(32), t=86400, source="m00"), str(path), fmt)
+        x = np.fromfile(str(path), dtype=RAW_DTYPES[fmt])
+        x[8] = np.nan
+        x.tofile(str(path))
         with pytest.raises(DataError,
                            match=r"seg_00002\.bin: non-finite sample nan at index 8 "
                                  r"\(source m00, t=86400\)"):

@@ -9,12 +9,10 @@ from vibdict.dictionary import Atom, Dictionary, init_pseudorandom, unit_normali
 from vibdict.metrics import (
     FIDELITY_CAP_DB,
     IndicatorSeries,
-    adaptation_rate,
     atom_coherence,
     atom_similarity_beta,
     center_frequency,
     dictionary_distance,
-    dictionary_spread,
     fidelity_db,
     load_indicator_csv,
     lowpass,
@@ -137,33 +135,6 @@ class TestDictionaryDistance:
         rolled = tuple(Atom(x.waveform, (x.id + 1) % 3) for x in atoms)
         b = Dictionary(tuple(sorted(rolled, key=lambda x: x.id)))
         assert dictionary_distance(a, b) == pytest.approx(0.0, abs=1e-9)
-
-    def test_spread_excludes_self_match(self):
-        rng = np.random.default_rng(7)
-        d = Dictionary(random_atoms(rng))
-        assert dictionary_spread(d) > 0.0
-
-
-class TestAdaptationRate:
-    def test_frozen_dictionary_rate_zero(self):
-        d = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=1)
-        series = adaptation_rate([(0, d), (10, d), (20, d)])
-        np.testing.assert_allclose(series.values, 0.0, atol=1e-9)
-        np.testing.assert_array_equal(series.timestamps, [10, 20])
-
-    def test_lag_and_pairing(self):
-        a = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=1)
-        b = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=2)
-        series = adaptation_rate([(0, a), (10, b), (20, a)], lag=2)
-        assert len(series) == 1
-        assert series.values[0] == pytest.approx(0.0, abs=1e-9)
-        series = adaptation_rate([(0, a), (10, b)], lag=1)
-        assert series.values[0] == pytest.approx(dictionary_distance(a, b), abs=1e-12)
-
-    def test_too_few_snapshots_rejected(self):
-        d = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=1)
-        with pytest.raises(ValueError):
-            adaptation_rate([(0, d)])
 
 
 class TestFidelity:
