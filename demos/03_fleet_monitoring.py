@@ -68,12 +68,12 @@ def main():
     series = {}
     for machine in machines:
         stream = [preprocess(s) for s in fleet[machine]]
-        state = monitor_segments(stream, baselines[machine], CODING,
-                                 LearnConfig(eta=1e-4, noise_var=1.0))
+        records = [record for _, record, _ in monitor_segments(
+            stream, baselines[machine], CODING, LearnConfig(eta=1e-4, noise_var=1.0))]
         series[machine] = IndicatorSeries(
             machine,
-            np.array([r.timestamp for r in state.records]),
-            np.array([r.distance_deg for r in state.records]),
+            np.array([r.timestamp for r in records]),
+            np.array([r.distance_deg for r in records]),
         )
 
     checkpoints = [0, 30, ONSET - 1, ONSET + 15, ONSET + 30, SEGMENTS - 1]

@@ -84,13 +84,13 @@ def main():
     series = {}
     for machine in machines:
         stream = [preprocess(s) for s in fleet[machine]]
-        state = monitor_segments(stream, starts[machine], CODING,
-                                 LearnConfig(eta=1e-4, noise_var=1.0),
-                                 baseline=baselines[machine])
+        records = [record for _, record, _ in monitor_segments(
+            stream, starts[machine], CODING, LearnConfig(eta=1e-4, noise_var=1.0),
+            baseline=baselines[machine])]
         series[machine] = IndicatorSeries(
             machine,
-            np.array([r.timestamp for r in state.records]),
-            np.array([r.distance_deg for r in state.records]),
+            np.array([r.timestamp for r in records]),
+            np.array([r.distance_deg for r in records]),
         )
 
     for machine in machines:

@@ -229,16 +229,15 @@ def cmd_indicators(args) -> int:
         if not records:
             raise DataError(f"{path}: empty history")
         times = np.array([r.timestamp for r in records])
-        repeated = np.flatnonzero(np.diff(times) <= 0)
-        if repeated.size:
-            raise DataError(f"{path}: timestamps must be strictly increasing, got "
-                            f"{times[repeated[0]]} then {times[repeated[0] + 1]}")
         settings = {"time_constant": args.time_constant}
         for column in ("fidelity_db", "distance_deg"):
             raw = np.array([getattr(r, column) for r in records])
-            series = metrics.IndicatorSeries(
-                column, times, metrics.lowpass(raw, args.time_constant)
-            )
+            try:
+                series = metrics.IndicatorSeries(
+                    column, times, metrics.lowpass(raw, args.time_constant)
+                )
+            except ValueError as exc:  # timestamps that do not strictly increase
+                raise DataError(f"{path}: {exc}") from exc
             metrics.save_indicator_csv(
                 series,
                 os.path.join(args.output, f"{machine}_{column}_smooth.csv"),
@@ -266,25 +265,31 @@ def cmd_indicators(args) -> int:
 def cmd_roc(args) -> int:
     from . import detect, metrics
 
+    # Each series is named by its file, so a message about it names the file.
     series_by_machine: dict[str, metrics.IndicatorSeries] = {}
     for path in args.indicators:
         series, meta = metrics.load_indicator_csv(path)
         machine = meta.get("machine") or os.path.splitext(os.path.basename(path))[0]
         series_by_machine[machine] = metrics.IndicatorSeries(
-            machine, series.timestamps, series.values
+            path, series.timestamps, series.values
         )
     windows = detect.load_labels_csv(args.labels)
-    try:  # a series shorter than --slope-window, or too few series for min-diff
-        if args.indicator == "slope":
-            sloped = {}
-            for m, s in series_by_machine.items():
-                d = detect.slope_indicator(s, args.slope_window)
-                sloped[m] = metrics.IndicatorSeries(m, d.timestamps, d.values)
-            series_by_machine = sloped
-        elif args.indicator == "min-diff":
-            series_by_machine = detect.min_diff_series(list(series_by_machine.values()))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if args.indicator == "slope":
+        try:
+            detect.check_slope_window(args.slope_window)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        for m, s in series_by_machine.items():
+            try:
+                series_by_machine[m] = detect.slope_indicator(s, args.slope_window)
+            except ValueError as exc:  # the series is shorter than the window
+                raise ConfigError(f"{s.name}: {exc} (--slope-window)") from exc
+    elif args.indicator == "min-diff":
+        try:  # too few series, or two that are not aligned
+            by_path = detect.min_diff_series(list(series_by_machine.values()))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        series_by_machine = {m: by_path[s.name] for m, s in series_by_machine.items()}
     curve = detect.roc_curve(detect.series_samples(series_by_machine), windows)
     detect.save_roc_csv(curve, args.output)
     print(f"auc={curve.auc:.6f}")

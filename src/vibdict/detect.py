@@ -92,6 +92,12 @@ def label_of(machine_id: str, timestamp: int, windows) -> str:
     return hits[0].label
 
 
+def check_slope_window(window: int) -> None:
+    """Raise ValueError unless a slope window spans at least two points."""
+    if window < 2:
+        raise ValueError("window must be >= 2")
+
+
 def slope_indicator(series: IndicatorSeries, window: int = DEFAULT_SLOPE_WINDOW) -> IndicatorSeries:
     """Trailing least-squares slope of an indicator, in units per day.
 
@@ -100,8 +106,7 @@ def slope_indicator(series: IndicatorSeries, window: int = DEFAULT_SLOPE_WINDOW)
     index window - 1. Timestamps are converted from seconds to days for
     the fit, so a dictionary-distance input yields degrees/day.
     """
-    if window < 2:
-        raise ValueError("window must be >= 2")
+    check_slope_window(window)
     if len(series) < window:
         raise ValueError(f"series of length {len(series)} shorter than window {window}")
     days = series.timestamps.astype(np.float64) / SECONDS_PER_DAY

@@ -130,23 +130,20 @@ def monitor_one(task: MachineTask) -> tuple[int, metrics.HistoryRecord | None]:
         if before.timestamp == after.timestamp:
             raise DataError(f"{task.indir}: two segments at timestamp {after.timestamp}; "
                             f"monitor needs one segment per timestamp")
-    state = learning.MonitorState(live, own)
     codes_dir = os.path.join(cfg.output, f"{machine}_codes")
     if task.dump_codes:
         os.makedirs(codes_dir, exist_ok=True)
-    for segment in prepared:
-        state, code = learning.monitor_step(state, segment, coding_cfg, learn_cfg)
+    final, records = live, []
+    for state, record, code in learning.monitor_segments(
+        prepared, live, coding_cfg, learn_cfg, baseline=own
+    ):
+        final = state.dictionary
+        records.append(record)
         if task.dump_codes:
-            coding.save_code_csv(
-                code, os.path.join(codes_dir, f"{segment.timestamp}.csv")
-            )
-    metrics.save_history_csv(
-        state.records, os.path.join(cfg.output, f"{machine}_history.csv")
-    )
-    dictionary.save_dictionary(
-        state.dictionary, os.path.join(cfg.output, f"{machine}_final.vdct")
-    )
-    return len(state.records), state.records[-1] if state.records else None
+            coding.save_code_csv(code, os.path.join(codes_dir, f"{record.timestamp}.csv"))
+    metrics.save_history_csv(records, os.path.join(cfg.output, f"{machine}_history.csv"))
+    dictionary.save_dictionary(final, os.path.join(cfg.output, f"{machine}_final.vdct"))
+    return len(records), records[-1] if records else None
 
 
 def _usable_cpus() -> int:
@@ -167,7 +164,9 @@ def run_per_machine(worker, tasks: list[MachineTask], jobs: int | None) -> list:
     worker, or a platform without ``os.fork``, runs the tasks serially in
     this process. Every forked machine runs even when one fails; then the
     first failure in task order is re-raised here, with its original type
-    and message.
+    and message. The warnings each child recorded are re-issued here, in
+    task order up to that failure, through one registry, so a warning that
+    ``--jobs 1`` prints once is printed once.
     """
     workers = min(_usable_cpus() if jobs is None else jobs, len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
@@ -177,15 +176,18 @@ def run_per_machine(worker, tasks: list[MachineTask], jobs: int | None) -> list:
 
         omp_kernel.fast_forward()  # built and checked once here; every child inherits it
     outcomes = _fork_per_machine(worker, tasks, workers)
-    for ok, value in outcomes:
+    registry: dict = {}
+    for ok, value, caught in outcomes:
+        for text, category, filename, lineno in caught:
+            warnings.warn_explicit(text, category, filename, lineno, registry=registry)
         if not ok:
             raise value
-    return [value for _, value in outcomes]
+    return [value for _, value, _ in outcomes]
 
 
 def _fork_per_machine(worker, tasks: list[MachineTask],
-                      workers: int) -> list[tuple[bool, object]]:
-    """Fork one child per task, ``workers`` at a time; (ok, value) per task.
+                      workers: int) -> list[tuple[bool, object, list]]:
+    """Fork one child per task, ``workers`` at a time; (ok, value, warnings) per task.
 
     The parent reads whichever pipe is ready, so a child never blocks on a
     full pipe, and it reaps every child before it returns or raises.
@@ -233,23 +235,27 @@ def _fork_per_machine(worker, tasks: list[MachineTask],
 
 
 def _run_in_child(worker, task: MachineTask, write_fd: int) -> typing.NoReturn:
-    """Run one task, write its pickled (ok, value) to ``write_fd`` and exit.
+    """Run one task, write its pickled (ok, value, warnings) to ``write_fd`` and exit.
 
     Any exception, interrupts included, goes to the parent, which re-raises
-    it. ``os._exit`` skips the exit handlers and ``finally`` blocks, which
+    it. Warnings that pass the filters are recorded instead of printed, as
+    (message, category, filename, lineno), for the parent to re-issue.
+    ``os._exit`` skips the exit handlers and ``finally`` blocks, which
     belong to the parent.
     """
     code = 1
     try:
+        with warnings.catch_warnings(record=True) as log:
+            try:
+                ok, value = True, worker(task)
+            except BaseException as exc:
+                ok, value = False, exc
+        caught = [(str(w.message), w.category, w.filename, w.lineno) for w in log]
         try:
-            outcome = (True, worker(task))
-        except BaseException as exc:
-            outcome = (False, exc)
-        try:
-            payload = pickle.dumps(outcome)
+            payload = pickle.dumps((ok, value, caught))
         except Exception as exc:
             payload = pickle.dumps((False, RuntimeError(
-                f"machine {task.machine!r}: cannot pickle the worker's {outcome[1]!r} ({exc})")))
+                f"machine {task.machine!r}: cannot pickle the worker's {value!r} ({exc})"), []))
         with open(write_fd, "wb") as fh:
             fh.write(payload)
         sys.stdout.flush()
@@ -259,13 +265,13 @@ def _run_in_child(worker, task: MachineTask, write_fd: int) -> typing.NoReturn:
         os._exit(code)
 
 
-def _child_outcome(machine: str, payload: bytes, code: int) -> tuple[bool, object]:
-    """(ok, value) from a reaped child's exit code and pipe bytes."""
+def _child_outcome(machine: str, payload: bytes, code: int) -> tuple[bool, object, list]:
+    """(ok, value, warnings) from a reaped child's exit code and pipe bytes."""
     if code:
         how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-        return False, RuntimeError(f"the worker for machine {machine!r} {how}")
+        return False, RuntimeError(f"the worker for machine {machine!r} {how}"), []
     try:
         return pickle.loads(payload)
     except Exception as exc:
         return False, RuntimeError(
-            f"machine {machine!r}: cannot unpickle the worker's outcome ({exc!r})")
+            f"machine {machine!r}: cannot unpickle the worker's outcome ({exc!r})"), []

@@ -14,7 +14,8 @@ distinguishes frozen monitoring from adaptive monitoring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,14 +111,12 @@ def train_baseline(
     dictionary: Dictionary,
     coding_cfg: CodingConfig,
     learn_cfg: LearnConfig,
-    progress=None,
 ) -> TrainResult:
     """Alternate sparse coding and gradient steps over training blocks.
 
     Blocks are visited in order; each is coded against the current
     dictionary, the per-block fidelity is recorded, and the dictionary is
-    updated from the code. ``progress``, when given, is called as
-    ``progress(block_index, total, fidelity_db)`` after each block.
+    updated from the code.
     """
     if not blocks:
         raise ValueError("need at least one training block")
@@ -131,8 +130,6 @@ def train_baseline(
         growth_events += sum(
             1 for atom in dictionary.atoms if len(atom) != before[atom.id]
         )
-        if progress is not None:
-            progress(i, len(blocks), float(fidelities[i]))
     return TrainResult(dictionary, fidelities, growth_events)
 
 
@@ -140,14 +137,14 @@ def train_baseline(
 class MonitorState:
     """Evolving per-machine monitoring state.
 
-    ``dictionary`` is the live (possibly adapting) dictionary,
-    ``baseline`` the fixed reference that distances are measured against,
-    and ``records`` the history, one record per processed segment.
+    ``dictionary`` is the live (possibly adapting) dictionary and
+    ``baseline`` the fixed reference that distances are measured against.
+    The state keeps no history, so its size does not grow with the stream:
+    each step hands its record to the caller.
     """
 
     dictionary: Dictionary
     baseline: Dictionary
-    records: tuple[HistoryRecord, ...] = ()
 
 
 def monitor_step(
@@ -155,13 +152,13 @@ def monitor_step(
     segment: SignalSegment,
     coding_cfg: CodingConfig,
     learn_cfg: LearnConfig,
-) -> tuple[MonitorState, SparseCode]:
-    """Process one monitoring segment and return the advanced state.
+) -> tuple[MonitorState, HistoryRecord, SparseCode]:
+    """Process one monitoring segment; return (advanced state, record, code).
 
-    Codes the segment with the live dictionary, records fidelity and the
-    distance of the *updated* dictionary from the baseline, then appends
-    the record. With ``eta = 0`` the live dictionary never changes and the
-    distance stays constant within float reproducibility.
+    Codes the segment with the live dictionary, then records fidelity and
+    the distance of the *updated* dictionary from the baseline. With
+    ``eta = 0`` the live dictionary never changes and the distance stays
+    constant within float reproducibility.
     """
     code = encode(segment, state.dictionary, coding_cfg)
     fid = fidelity_db(segment.samples, code.residual)
@@ -172,27 +169,25 @@ def monitor_step(
         distance_deg=dictionary_distance(updated, state.baseline),
         n_instances=len(code.instances),
     )
-    new_state = replace(state, dictionary=updated, records=state.records + (record,))
-    return new_state, code
+    return MonitorState(updated, state.baseline), record, code
 
 
 def monitor_segments(
-    segments: list[SignalSegment],
+    segments: Iterable[SignalSegment],
     dictionary: Dictionary,
     coding_cfg: CodingConfig,
     learn_cfg: LearnConfig,
     baseline: Dictionary | None = None,
-    progress=None,
-) -> MonitorState:
-    """Run :func:`monitor_step` over a segment stream in order.
+) -> Iterator[tuple[MonitorState, HistoryRecord, SparseCode]]:
+    """Run :func:`monitor_step` over a segment stream, lazily and in order.
 
+    Yields ``(state, record, code)`` as each segment is processed, pulling
+    the next segment only when asked, so any iterable of segments works.
     ``baseline`` defaults to the starting dictionary, which is the usual
     own-baseline setup; pass a different dictionary to measure against a
     foreign reference.
     """
     state = MonitorState(dictionary, baseline if baseline is not None else dictionary)
-    for i, segment in enumerate(segments):
-        state, _ = monitor_step(state, segment, coding_cfg, learn_cfg)
-        if progress is not None:
-            progress(i, len(segments), state.records[-1])
-    return state
+    for segment in segments:
+        state, record, code = monitor_step(state, segment, coding_cfg, learn_cfg)
+        yield state, record, code

@@ -40,8 +40,10 @@ class IndicatorSeries:
         v = np.asarray(self.values, dtype=np.float64)
         if t.shape != v.shape or t.ndim != 1:
             raise ValueError("timestamps and values must be 1-D and the same length")
-        if t.size > 1 and np.any(np.diff(t) <= 0):
-            raise ValueError("timestamps must be strictly increasing")
+        repeated = np.flatnonzero(np.diff(t) <= 0)
+        if repeated.size:
+            raise ValueError(f"timestamps must be strictly increasing, got "
+                             f"{t[repeated[0]]} then {t[repeated[0] + 1]}")
         object.__setattr__(self, "timestamps", t)
         object.__setattr__(self, "values", v)
 

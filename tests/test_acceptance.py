@@ -302,10 +302,11 @@ def test_criterion_10_foreign_baseline_degradation(recovery_outcome, verdict):
     frozen = LearnConfig(eta=0.0, noise_var=1.0)
     own = recovery_outcome["dictionary"]
     foreign = init_pseudorandom(num_atoms=3, core_len=50, pad=10, seed=1234)
-    own_state = monitor_segments(stream, own, RECOVERY_CODING, frozen)
-    foreign_state = monitor_segments(stream, foreign, RECOVERY_CODING, frozen)
-    own_mean = float(np.mean([r.fidelity_db for r in own_state.records]))
-    foreign_mean = float(np.mean([r.fidelity_db for r in foreign_state.records]))
+    own_records = [r for _, r, _ in monitor_segments(stream, own, RECOVERY_CODING, frozen)]
+    foreign_records = [r for _, r, _ in monitor_segments(stream, foreign, RECOVERY_CODING,
+                                                         frozen)]
+    own_mean = float(np.mean([r.fidelity_db for r in own_records]))
+    foreign_mean = float(np.mean([r.fidelity_db for r in foreign_records]))
     gap = own_mean - foreign_mean
     if gap < 3.0:
         failures.append(f"own-minus-foreign gap {gap:.2f} dB < 3 dB")
@@ -358,11 +359,11 @@ def _fleet_monitor_specs():
 
 def _monitor_fleet_machine(fleet, machine, start, baseline):
     stream = [preprocess(s) for s in fleet[machine]]
-    state = monitor_segments(stream, start, FLEET_CODING, FLEET_MONITOR_LEARN,
-                             baseline=baseline)
-    timestamps = np.array([r.timestamp for r in state.records])
-    distance = np.array([r.distance_deg for r in state.records])
-    fidelity = np.array([r.fidelity_db for r in state.records])
+    records = [r for _, r, _ in monitor_segments(stream, start, FLEET_CODING,
+                                                 FLEET_MONITOR_LEARN, baseline=baseline)]
+    timestamps = np.array([r.timestamp for r in records])
+    distance = np.array([r.distance_deg for r in records])
+    fidelity = np.array([r.fidelity_db for r in records])
     return IndicatorSeries(machine, timestamps, distance), fidelity
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import vibdict.cli as cli
 import vibdict.fleet as fleet
+from vibdict.coding import CodingConfig, save_code_csv
 from vibdict.dictionary import (
     Atom,
     Dictionary,
@@ -22,12 +23,15 @@ from vibdict.dictionary import (
     unit_normalize,
 )
 from vibdict.errors import ConfigError, DataError, NumericError
+from vibdict.ingest import SegmentGate, gate_by_rms, load_segments, preprocess
+from vibdict.learning import LearnConfig, monitor_segments
 from vibdict.metrics import (
     IndicatorSeries,
     load_history_csv,
     load_indicator_csv,
     lowpass,
     mad_series,
+    save_history_csv,
     save_indicator_csv,
 )
 
@@ -168,6 +172,19 @@ class TestTrain:
         assert captured.out == ""
         assert captured.err == "numeric error: cannot normalize a waveform of norm inf\n"
 
+    def test_forked_failure_writes_serial_stderr(self, small_fleet, tmp_path):
+        # Each forked child hits the same overflow warning; --jobs 1 prints it
+        # once. capsys cannot see what forked children write, so the CLI runs
+        # as a process of its own.
+        done = {jobs: spawn("-m", "vibdict.cli", *train_args(
+                    small_fleet, tmp_path / f"out{jobs}", eta="1e300", jobs=jobs))
+                for jobs in ("2", "1")}
+        assert [done[jobs].returncode for jobs in ("2", "1")] == [4, 4]
+        assert done["2"].stderr == done["1"].stderr
+        assert done["1"].stderr.count("RuntimeWarning: overflow encountered") == 1
+        assert done["1"].stderr.endswith(
+            "numeric error: cannot normalize a waveform of norm inf\n")
+
     def test_does_not_mutate_inputs(self, small_fleet, tmp_path):
         def digest():
             h = hashlib.sha256()
@@ -218,6 +235,30 @@ class TestMonitor:
         assert [r.timestamp for r in records] == [43200 * k for k in range(6)]
         final = load_dictionary(str(out / "m00_final.vdct"))
         assert final.generation > 0
+
+    def test_outputs_match_library_loop(self, small_fleet, baseline, tmp_path):
+        out = tmp_path / "mon"
+        assert run(*self.monitor_args(small_fleet, baseline, out), "--dump-codes") == 0
+        cfg = cli.RunConfig()
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        for machine in ("m00", "m01"):
+            segments = load_segments(str(small_fleet / machine))
+            prepared = [preprocess(s) for s in gate_by_rms(segments, SegmentGate(cfg.rms_gate))]
+            start = load_dictionary(str(baseline / f"{machine}.vdct"))
+            steps = list(monitor_segments(prepared, start, CodingConfig(cfg.algorithm, cfg.sparsity),
+                                          LearnConfig(eta=1e-3)))
+            assert len(steps) == len(prepared) > 0
+            save_history_csv([record for _, record, _ in steps], str(lib / "history.csv"))
+            save_dictionary(steps[-1][0].dictionary, str(lib / "final.vdct"))
+            assert ((lib / "history.csv").read_bytes()
+                    == (out / f"{machine}_history.csv").read_bytes())
+            assert ((lib / "final.vdct").read_bytes()
+                    == (out / f"{machine}_final.vdct").read_bytes())
+            for segment, (_, _, code) in zip(prepared, steps):
+                save_code_csv(code, str(lib / "code.csv"))
+                assert ((lib / "code.csv").read_bytes()
+                        == (out / f"{machine}_codes" / f"{segment.timestamp}.csv").read_bytes())
 
     def test_jobs_two_matches_serial_bytewise(self, small_fleet, baseline, tmp_path, capsys):
         outputs = []
@@ -381,7 +422,7 @@ class TestDefaultJobs:
 
         def recording_fork(worker, tasks, workers):
             created.append(workers)
-            return [(True, worker(task)) for task in tasks]
+            return [(True, worker(task), []) for task in tasks]
 
         monkeypatch.setattr(fleet, "_fork_per_machine", recording_fork)
         return created
@@ -881,11 +922,13 @@ class TestFlagErrors:
         (["m00"], ["--indicator", "slope", "--slope-window", 1], "window must be >= 2"),
         (["m00"], ["--indicator", "slope", "--slope-window", 0], "window must be >= 2"),
         (["m00"], ["--indicator", "slope", "--slope-window", 6],
-         "series of length 5 shorter than window 6"),
+         "{m00}: series of length 5 shorter than window 6 (--slope-window)"),
         (["m00"], ["--indicator", "min-diff"], "need at least two machines"),
-        (["m00", "m01"], ["--indicator", "min-diff"], "series 'm01' is not aligned with 'm00'"),
+        (["m00", "m01"], ["--indicator", "min-diff"],
+         "series '{m01}' is not aligned with '{m00}'"),
     ])
     def test_roc(self, tmp_path, capsys, machines, extra, message):
+        # {m00} and {m01} in a message stand for the paths of those indicator files.
         labels = tmp_path / "labels.csv"
         labels.write_text("machine_id,start,end,label\nm00,0,1000,healthy\n"
                           "m01,0,1000,faulty\n")
@@ -897,7 +940,8 @@ class TestFlagErrors:
             save_indicator_csv(IndicatorSeries("distance", times, np.arange(5.0)),
                                str(paths[-1]), machine=machine)
         self.expect(capsys, ["roc", "--indicators", *paths, "--labels", labels,
-                             "--output", tmp_path / "roc.csv", *extra], message)
+                             "--output", tmp_path / "roc.csv", *extra],
+                    message.format(**{m: p for m, p in zip(machines, paths)}))
         assert not (tmp_path / "roc.csv").exists()
 
     @pytest.mark.parametrize("extra, message", [

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -181,17 +183,6 @@ class TestTrainBaseline:
         )
         assert result.dictionary is d
 
-    def test_progress_callback_invoked(self):
-        rng = np.random.default_rng(5)
-        d = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=0)
-        seen = []
-        train_baseline(
-            self.blocks(rng, count=4), d, CodingConfig("mp", n_instances=4),
-            LearnConfig(eta=1e-4),
-            progress=lambda i, total, fid: seen.append((i, total)),
-        )
-        assert seen == [(0, 4), (1, 4), (2, 4), (3, 4)]
-
     def test_empty_blocks_rejected(self):
         d = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=0)
         with pytest.raises(ValueError):
@@ -208,21 +199,23 @@ class TestMonitor:
     def test_frozen_monitoring_distance_zero(self):
         rng = np.random.default_rng(6)
         d = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=1)
-        state = monitor_segments(
+        steps = list(monitor_segments(
             self.stream(rng), d, CodingConfig("mp", n_instances=6), LearnConfig(eta=0.0)
-        )
-        assert state.dictionary is d
-        assert all(r.distance_deg == 0.0 for r in state.records)
-        assert [r.timestamp for r in state.records] == [100, 110, 120, 130, 140, 150]
+        ))
+        records = [record for _, record, _ in steps]
+        assert steps[-1][0].dictionary is d
+        assert all(r.distance_deg == 0.0 for r in records)
+        assert [r.timestamp for r in records] == [100, 110, 120, 130, 140, 150]
 
     def test_propagation_accumulates_distance(self):
         rng = np.random.default_rng(7)
         d = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=1)
-        state = monitor_segments(
+        steps = list(monitor_segments(
             self.stream(rng, count=10), d,
             CodingConfig("mp", n_instances=6), LearnConfig(eta=5e-2),
-        )
-        assert state.records[-1].distance_deg > 0.0
+        ))
+        state, record, _ = steps[-1]
+        assert record.distance_deg > 0.0
         assert state.dictionary.generation == 10
 
     def test_distance_measured_after_update(self):
@@ -230,23 +223,59 @@ class TestMonitor:
         d = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=1)
         seg = self.stream(rng, count=1)[0]
         state = MonitorState(d, d)
-        state, code = monitor_step(state, seg, CodingConfig("mp", n_instances=6),
-                                   LearnConfig(eta=5e-2))
+        state, record, code = monitor_step(state, seg, CodingConfig("mp", n_instances=6),
+                                           LearnConfig(eta=5e-2))
         expected = dictionary_distance(state.dictionary, d)
-        assert state.records[0].distance_deg == pytest.approx(expected, abs=1e-12)
-        assert state.records[0].n_instances == len(code.instances)
+        assert record.distance_deg == pytest.approx(expected, abs=1e-12)
+        assert record.n_instances == len(code.instances)
 
     def test_foreign_baseline_reference(self):
         rng = np.random.default_rng(9)
         own = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=1)
         foreign = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=2)
-        state = monitor_segments(
+        steps = monitor_segments(
             self.stream(rng), foreign, CodingConfig("mp", n_instances=6),
             LearnConfig(eta=0.0), baseline=own,
         )
         expected = dictionary_distance(foreign, own)
-        for r in state.records:
+        for _, r, _ in steps:
             assert r.distance_deg == pytest.approx(expected, abs=1e-12)
+
+    def test_state_holds_no_history(self):
+        assert [f.name for f in dataclasses.fields(MonitorState)] == ["dictionary", "baseline"]
+
+    def test_yields_one_step_per_segment_in_order(self):
+        rng = np.random.default_rng(10)
+        d = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=1)
+        stream = self.stream(rng, count=5)
+        coding_cfg, learn_cfg = CodingConfig("mp", n_instances=6), LearnConfig(eta=5e-2)
+        steps = list(monitor_segments(stream, d, coding_cfg, learn_cfg))
+        assert len(steps) == len(stream)
+        state = MonitorState(d, d)
+        for segment, (got_state, got_record, got_code) in zip(stream, steps):
+            state, record, code = monitor_step(state, segment, coding_cfg, learn_cfg)
+            assert got_record == record
+            assert got_record.timestamp == segment.timestamp
+            assert got_code.instances == code.instances
+            assert got_state.baseline is d
+            for a, b in zip(got_state.dictionary.atoms, state.dictionary.atoms):
+                np.testing.assert_array_equal(a.waveform, b.waveform)
+
+    def test_pulls_segments_lazily(self):
+        rng = np.random.default_rng(11)
+        d = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=1)
+        stream = self.stream(rng, count=3)
+
+        def source():
+            yield from stream
+            raise RuntimeError("source failed after 3 segments")
+
+        seen = []
+        with pytest.raises(RuntimeError, match="source failed after 3 segments"):
+            for _, record, _ in monitor_segments(source(), d, CodingConfig("mp", n_instances=6),
+                                                 LearnConfig(eta=5e-2)):
+                seen.append(record.timestamp)
+        assert seen == [100, 110, 120]
 
 
 class TestHistoryCsv:
