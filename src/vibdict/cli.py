@@ -114,9 +114,7 @@ def resolve_config(args) -> RunConfig:
 def write_effective_config(cfg: RunConfig, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "effective_config.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in sorted(asdict(cfg).items()):
-            fh.write(f"{key}={value}\n")
+    ingest.write_key_values(path, sorted(asdict(cfg).items()))
 
 
 def _machine_dirs(path: str) -> list[tuple[str, str]]:
@@ -222,41 +220,46 @@ def cmd_indicators(args) -> int:
         metrics.check_time_constant(args.time_constant)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    os.makedirs(args.output, exist_ok=True)
-    smoothed: dict[str, metrics.IndicatorSeries] = {}
+    # Every history is loaded and checked before any file is written.
+    smoothed: dict[str, dict] = {}  # machine -> {column: lowpassed series}
+    first = None  # (path, timestamps) of the first history
     for machine, path in _history_files(args.history):
         records = metrics.load_history_csv(path)
         if not records:
             raise DataError(f"{path}: empty history")
         times = np.array([r.timestamp for r in records])
-        settings = {"time_constant": args.time_constant}
+        columns = {}
         for column in ("fidelity_db", "distance_deg"):
             raw = np.array([getattr(r, column) for r in records])
             try:
-                series = metrics.IndicatorSeries(
+                columns[column] = metrics.IndicatorSeries(
                     column, times, metrics.lowpass(raw, args.time_constant)
                 )
             except ValueError as exc:  # timestamps that do not strictly increase
                 raise DataError(f"{path}: {exc}") from exc
+        if first is None:
+            first = (path, times)
+        elif not np.array_equal(times, first[1]):
+            raise DataError(f"{path}: timestamps are not aligned with {first[0]}")
+        smoothed[machine] = columns
+    os.makedirs(args.output, exist_ok=True)
+    settings = {"time_constant": args.time_constant}
+    for machine, columns in smoothed.items():
+        for column, series in columns.items():
             metrics.save_indicator_csv(
                 series,
                 os.path.join(args.output, f"{machine}_{column}_smooth.csv"),
                 machine=machine,
                 comments=settings,
             )
-            if column == "distance_deg":
-                smoothed[machine] = series
     if len(smoothed) >= 2:
-        try:
-            scored = metrics.mad_series(smoothed)
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
+        scored = metrics.mad_series({m: c["distance_deg"] for m, c in smoothed.items()})
         for machine, series in scored.items():
             metrics.save_indicator_csv(
                 series,
                 os.path.join(args.output, f"{machine}_distance_mad.csv"),
                 machine=machine,
-                comments={"time_constant": args.time_constant},
+                comments=settings,
             )
     print(f"wrote indicators for {len(smoothed)} machines to {args.output}")
     return 0

@@ -55,7 +55,7 @@ import numpy as np
 from .defaults import ALGORITHMS, MP, OMP
 from .dictionary import Dictionary
 from .errors import AtomFitError, NumericError
-from .ingest import SignalSegment
+from .ingest import SignalSegment, write_table
 
 # Diagonal damping applied to the OMP Gram system when it is not
 # numerically positive definite: lambda = RIDGE_SCALE * trace(G) / k.
@@ -83,7 +83,6 @@ class SparseCode:
 
     instances: tuple[AtomInstance, ...]
     residual: np.ndarray
-    dictionary_generation: int
     exhausted: bool = False
 
 
@@ -206,7 +205,7 @@ def mp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig)
         instances.append(AtomInstance(ids[row], tau, amplitude))
         residual[tau : tau + w.size] -= amplitude * w
         _refresh_window(corr, residual, waveforms, tau, tau + w.size - 1)
-    return SparseCode(tuple(instances), residual, dictionary.generation, exhausted)
+    return SparseCode(tuple(instances), residual, exhausted)
 
 
 def _cross_table(waveforms) -> np.ndarray:
@@ -402,7 +401,7 @@ def _omp_encode(segment, dictionary, cfg, kernel, final=None) -> SparseCode:
         AtomInstance(ids[row], int(tau), float(a))
         for row, tau, a in zip(sel_row, sel_tau, amplitudes)
     )
-    return SparseCode(instances, residual, dictionary.generation, exhausted)
+    return SparseCode(instances, residual, exhausted)
 
 
 def encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig) -> SparseCode:
@@ -430,15 +429,12 @@ def reconstruct(instances, dictionary: Dictionary, length: int) -> np.ndarray:
 
 
 def save_code_csv(code: SparseCode, path: str) -> None:
-    """Export a sparse code as ``atom_id,offset,amplitude`` CSV rows.
+    """Export a sparse code as one CSV row of atom id, offset and amplitude per instance.
 
     The residual norm is appended as a footer comment so the export is
     self-checking against the reconstruction identity.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("atom_id,offset,amplitude\n")
-        for inst in code.instances:
-            fh.write(f"{inst.atom_id},{inst.offset},{inst.amplitude!r}\n")
-        fh.write(f"# residual_l2={float(np.linalg.norm(code.residual))!r}\n")
-        if code.exhausted:
-            fh.write("# exhausted=true\n")
+    rows = ((inst.atom_id, inst.offset, inst.amplitude) for inst in code.instances)
+    footer = [("residual_l2", float(np.linalg.norm(code.residual)))]
+    footer += [("exhausted", "true")] if code.exhausted else []
+    write_table(path, "atom_id,offset,amplitude", rows, footer=footer)

@@ -17,12 +17,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .defaults import DEFAULT_SLOPE_WINDOW
 from .errors import ContentError, DataError
-from .ingest import read_table
+from .ingest import read_table, write_table
 from .metrics import IndicatorSeries
 
 HEALTHY = "healthy"
 FAULTY = "faulty"
 LABELS = (HEALTHY, FAULTY)
+
+LABELS_HEADER = "machine_id,start,end,label"
+ROC_HEADER = "threshold,fpr,tpr"
 
 SECONDS_PER_DAY = 86400.0
 
@@ -201,16 +204,13 @@ def series_samples(series_by_machine: dict[str, IndicatorSeries]):
 
 
 def save_labels_csv(windows, path: str) -> None:
-    """Write ground-truth windows as ``machine_id,start,end,label`` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("machine_id,start,end,label\n")
-        for w in windows:
-            fh.write(f"{w.machine_id},{w.start},{w.end},{w.label}\n")
+    """Write ground-truth windows as :data:`LABELS_HEADER` rows."""
+    write_table(path, LABELS_HEADER, ((w.machine_id, w.start, w.end, w.label) for w in windows))
 
 
 def load_labels_csv(path: str) -> tuple[LabeledWindow, ...]:
     """Read a labels CSV written by :func:`save_labels_csv`; overlaps raise ContentError."""
-    windows, _ = read_table(path, "machine_id,start,end,label",
+    windows, _ = read_table(path, LABELS_HEADER,
                             lambda m, start, end, lab: LabeledWindow(m, int(start), int(end), lab))
     try:
         validate_windows(windows)
@@ -220,17 +220,14 @@ def load_labels_csv(path: str) -> tuple[LabeledWindow, ...]:
 
 
 def save_roc_csv(curve: RocCurve, path: str) -> None:
-    """Write an ROC curve as ``threshold,fpr,tpr`` rows with an AUC footer."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("threshold,fpr,tpr\n")
-        for p in curve.points:
-            fh.write(f"{p.threshold!r},{p.fpr!r},{p.tpr!r}\n")
-        fh.write(f"# auc={curve.auc!r}\n")
+    """Write an ROC curve as :data:`ROC_HEADER` rows with an AUC footer."""
+    rows = ((p.threshold, p.fpr, p.tpr) for p in curve.points)
+    write_table(path, ROC_HEADER, rows, footer=[("auc", curve.auc)])
 
 
 def load_roc_csv(path: str) -> RocCurve:
     """Read an ROC CSV written by :func:`save_roc_csv`."""
-    points, meta = read_table(path, "threshold,fpr,tpr",
+    points, meta = read_table(path, ROC_HEADER,
                               lambda *fields: RocPoint(*map(float, fields)))
     try:
         auc = float(meta["auc"])

@@ -59,12 +59,6 @@ class Dictionary:
     def __len__(self):
         return len(self.atoms)
 
-    def atom_by_id(self, atom_id: int) -> Atom:
-        for atom in self.atoms:
-            if atom.id == atom_id:
-                return atom
-        raise ValueError(f"unknown atom id {atom_id}")
-
 
 def unit_normalize(waveform: np.ndarray) -> np.ndarray:
     """Rescale a waveform to unit L2 norm.

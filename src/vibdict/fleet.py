@@ -95,10 +95,7 @@ def train_one(task: MachineTask) -> tuple[float, int]:
         result.dictionary, os.path.join(cfg.output, f"{machine}.vdct")
     )
     log_path = os.path.join(cfg.output, f"{machine}_train_log.csv")
-    with open(log_path, "w", encoding="utf-8") as fh:
-        fh.write("block,fidelity_db\n")
-        for k, fid in enumerate(result.fidelity_db):
-            fh.write(f"{k},{float(fid)!r}\n")
+    ingest.write_table(log_path, "block,fidelity_db", enumerate(result.fidelity_db.tolist()))
     return float(result.fidelity_db[-1]), result.growth_events
 
 

@@ -3,20 +3,22 @@
 A segment is a fixed-rate sample vector with a timestamp (integer seconds
 since epoch) and a machine identifier. Two on-disk formats are supported:
 
-* CSV: one file per segment. The first line is a header carrying the
-  metadata values ``timestamp,sample_rate,source_id``; every following
-  line holds one sample as a decimal float.
+* CSV: one file per segment. The first line carries the metadata values
+  named by :data:`SEGMENT_HEADER`; every following line holds one sample
+  as a decimal float.
 * Raw binary: one file per segment of little-endian IEEE-754 float32 or
-  float64 samples, with a sidecar ``<name>.meta`` text file holding
-  ``timestamp=<int>``, ``sample_rate=<float>`` and ``source_id=<string>``
-  lines.
+  float64 samples, with a sidecar ``<name>.meta`` text file holding the
+  same three fields as ``key=value`` lines.
 
 Root-mean-square gating operates on raw amplitudes in physical units (G);
 standardization to zero mean and unit variance happens afterwards.
 
-Every other text file of the toolkit (histories, labels, indicators, ROC
-curves, ``.meta`` sidecars and run configs) is read through
-:func:`read_table` or :func:`read_key_values`.
+Every text file of the toolkit (segment CSVs, histories, labels,
+indicators, ROC curves, sparse codes, training logs, ``.meta`` sidecars
+and run configs) is written by :func:`write_table` or
+:func:`write_key_values`. Each table is read back by :func:`read_table`,
+except the segment CSV, whose first line holds values, and each
+``key=value`` file by :func:`read_key_values`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import numpy as np
 from .errors import DataError
 
 RAW_DTYPES = {"raw_f32le": "<f4", "raw_f64le": "<f8"}
+# The metadata fields of a segment: its CSV's first line, its sidecar's keys.
+SEGMENT_HEADER = "timestamp,sample_rate,source_id"
 FORMATS = ("csv",) + tuple(RAW_DTYPES)
 
 # PRNG used for block sampling; recorded in run configs so results replay.
@@ -97,18 +101,8 @@ def _read_csv_segment(path: str) -> SignalSegment:
         raise DataError(f"{path}: empty file, expected metadata header")
     fields = [f.strip() for f in header.strip().split(",")]
     if len(fields) != 3:
-        raise DataError(
-            f"{path}: header must be 'timestamp,sample_rate,source_id', "
-            f"got {len(fields)} field(s)"
-        )
-    try:
-        timestamp = int(fields[0])
-    except ValueError:
-        raise DataError(f"{path}: timestamp missing or not an integer: {fields[0]!r}") from None
-    sample_rate = _sample_rate(path, fields[1])
-    source_id = fields[2]
-    if not source_id:
-        raise DataError(f"{path}: empty source_id in header")
+        raise DataError(f"{path}: header must be {SEGMENT_HEADER!r}, got {len(fields)} field(s)")
+    timestamp, sample_rate, source_id = _segment_fields(path, *fields)
 
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -131,15 +125,24 @@ def _read_csv_segment(path: str) -> SignalSegment:
     return SignalSegment(values, sample_rate, timestamp, source_id)
 
 
-def _sample_rate(path: str, text: str) -> float:
-    """A header's sample rate; a DataError naming the file unless it is positive and finite."""
+def _segment_fields(path: str, timestamp: str, sample_rate: str, source_id: str):
+    """A segment's (timestamp, sample rate, source id) parsed from header text.
+
+    A missing or bad field raises a DataError naming the file and the field.
+    """
     try:
-        rate = float(text)
+        stamp = int(timestamp)
     except ValueError:
-        raise DataError(f"{path}: sample_rate missing or not a number: {text!r}") from None
+        raise DataError(f"{path}: timestamp missing or not an integer: {timestamp!r}") from None
+    try:
+        rate = float(sample_rate)
+    except ValueError:
+        raise DataError(f"{path}: sample_rate missing or not a number: {sample_rate!r}") from None
     if not (rate > 0 and math.isfinite(rate)):
-        raise DataError(f"{path}: sample_rate must be positive and finite, got {text!r}")
-    return rate
+        raise DataError(f"{path}: sample_rate must be positive and finite, got {sample_rate!r}")
+    if not source_id:
+        raise DataError(f"{path}: source_id missing")
+    return stamp, rate, source_id
 
 
 def _sample_line(lines: list[str], index: int) -> int:
@@ -205,21 +208,35 @@ def read_table(path: str, header: str, parse) -> tuple[list, dict]:
     return rows, meta
 
 
+def write_table(path: str, header: str, rows, comments=(), footer=()) -> None:
+    """Write a comma-separated text table that :func:`read_table` reads back.
+
+    ``comments`` and ``footer`` are (key, value) pairs, written as
+    ``# key=value`` lines before the header and after the rows. Every
+    field is written as ``str`` writes it, so pass Python ints, floats and
+    strings: a float is then written as its shortest round-trip ``repr``.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {key}={value}\n" for key, value in comments)
+        fh.write(f"{header}\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        fh.writelines(f"# {key}={value}\n" for key, value in footer)
+
+
+def write_key_values(path: str, items) -> None:
+    """Write (key, value) pairs as the ``key=value`` lines :func:`read_key_values` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{key}={value}\n" for key, value in items)
+
+
 def _read_raw_segment(path: str, dtype: str) -> SignalSegment:
     meta_path = path + ".meta"
     if not os.path.exists(meta_path):
         raise DataError(f"{path}: missing sidecar metadata file {meta_path}")
     meta = {key: value for _, key, value in read_key_values(meta_path, DataError)}
-    if "timestamp" not in meta:
-        raise DataError(f"{meta_path}: timestamp missing")
-    try:
-        timestamp = int(meta["timestamp"])
-    except ValueError:
-        raise DataError(f"{meta_path}: timestamp not an integer: {meta['timestamp']!r}") from None
-    sample_rate = _sample_rate(meta_path, meta.get("sample_rate", ""))
-    source_id = meta.get("source_id", "")
-    if not source_id:
-        raise DataError(f"{meta_path}: source_id missing")
+    timestamp, sample_rate, source_id = _segment_fields(
+        meta_path, *(meta.get(key, "") for key in SEGMENT_HEADER.split(","))
+    )
     try:
         samples = np.fromfile(path, dtype=dtype)
     except OSError as exc:
@@ -270,9 +287,8 @@ def load_segments(path: str, format: str = "csv") -> list[SignalSegment]:
 
 def save_segment_csv(segment: SignalSegment, path: str) -> None:
     """Write one segment in the CSV format read by :func:`load_segments`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{segment.timestamp},{float(segment.sample_rate)!r},{segment.source_id}\n")
-        fh.writelines(f"{float(x)!r}\n" for x in segment.samples)
+    header = (segment.timestamp, float(segment.sample_rate), segment.source_id)
+    write_table(path, ",".join(map(str, header)), ((x,) for x in segment.samples.tolist()))
 
 
 def save_segment_raw(segment: SignalSegment, path: str, format: str = "raw_f64le") -> None:
@@ -280,10 +296,8 @@ def save_segment_raw(segment: SignalSegment, path: str, format: str = "raw_f64le
     if format not in RAW_DTYPES:
         raise ValueError(f"unknown raw format {format!r}")
     segment.samples.astype(RAW_DTYPES[format]).tofile(path)
-    with open(path + ".meta", "w", encoding="utf-8") as fh:
-        fh.write(f"timestamp={segment.timestamp}\n")
-        fh.write(f"sample_rate={float(segment.sample_rate)!r}\n")
-        fh.write(f"source_id={segment.source_id}\n")
+    header = (segment.timestamp, float(segment.sample_rate), segment.source_id)
+    write_key_values(path + ".meta", zip(SEGMENT_HEADER.split(","), header))
 
 
 def gate_by_rms(segments: list[SignalSegment], gate: SegmentGate) -> list[SignalSegment]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dictionary import Atom, Dictionary
 from .errors import ContentError
-from .ingest import read_table
+from .ingest import read_table, write_table
 
 # Fidelity is clamped to +/- FIDELITY_CAP_DB when one side of the ratio
 # underflows, so downstream smoothing always sees finite values.
@@ -25,6 +25,9 @@ _EPS_RATIO = 1e-12
 # Floor applied to the MAD denominator; scores computed against the floor
 # are flagged as saturated.
 MAD_FLOOR = 1e-6
+
+INDICATOR_HEADER = "timestamp,value"
+HISTORY_HEADER = "timestamp,fidelity_db,distance_deg,n_instances"
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,25 +188,20 @@ def mad_series(series_by_machine: dict[str, IndicatorSeries]) -> dict[str, Indic
 
 def save_indicator_csv(series: IndicatorSeries, path: str, machine: str = "",
                        comments: dict | None = None) -> None:
-    """Write an indicator series as ``timestamp,value`` rows.
+    """Write an indicator series as :data:`INDICATOR_HEADER` rows.
 
     Header comments record the machine, the indicator kind, and any
     filter settings passed in ``comments`` so the file is self-describing.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        if machine:
-            fh.write(f"# machine={machine}\n")
-        fh.write(f"# kind={series.name}\n")
-        for key, value in (comments or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("timestamp,value\n")
-        for t, v in zip(series.timestamps, series.values):
-            fh.write(f"{int(t)},{float(v)!r}\n")
+    meta = [("machine", machine)] if machine else []
+    meta += [("kind", series.name), *(comments or {}).items()]
+    rows = zip(series.timestamps.tolist(), series.values.tolist())
+    write_table(path, INDICATOR_HEADER, rows, comments=meta)
 
 
 def load_indicator_csv(path: str) -> tuple[IndicatorSeries, dict]:
-    """Read a ``timestamp,value`` indicator CSV and its header comments."""
-    rows, meta = read_table(path, "timestamp,value", lambda t, v: (int(t), float(v)))
+    """Read an indicator CSV written by :func:`save_indicator_csv` and its header comments."""
+    rows, meta = read_table(path, INDICATOR_HEADER, lambda t, v: (int(t), float(v)))
     try:
         series = IndicatorSeries(
             meta.get("kind", "indicator"),
@@ -226,16 +224,14 @@ class HistoryRecord:
 
 
 def save_history_csv(records, path: str) -> None:
-    """Write monitoring history as ``timestamp,fidelity_db,distance_deg,n_instances``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("timestamp,fidelity_db,distance_deg,n_instances\n")
-        for r in records:
-            fh.write(f"{r.timestamp},{r.fidelity_db!r},{r.distance_deg!r},{r.n_instances}\n")
+    """Write monitoring history as :data:`HISTORY_HEADER` rows, one per record."""
+    rows = ((r.timestamp, r.fidelity_db, r.distance_deg, r.n_instances) for r in records)
+    write_table(path, HISTORY_HEADER, rows)
 
 
 def load_history_csv(path: str) -> tuple[HistoryRecord, ...]:
     """Read a monitoring history CSV written by :func:`save_history_csv`."""
-    records, _ = read_table(path, "timestamp,fidelity_db,distance_deg,n_instances",
+    records, _ = read_table(path, HISTORY_HEADER,
                             lambda t, f, d, n: HistoryRecord(int(t), float(f), float(d), int(n)))
     return tuple(records)
 

@@ -944,6 +944,22 @@ class TestFlagErrors:
                     message.format(**{m: p for m, p in zip(machines, paths)}))
         assert not (tmp_path / "roc.csv").exists()
 
+    def test_indicators_misaligned_histories(self, tmp_path, capsys):
+        # Unlike roc's, this misalignment is in the files, not in a flag: exit 3.
+        history = tmp_path / "hist"
+        history.mkdir()
+        paths = []
+        for machine, later in (("m00", 200), ("m01", 300)):
+            paths.append(history / f"{machine}_history.csv")
+            paths[-1].write_text("timestamp,fidelity_db,distance_deg,n_instances\n"
+                                 f"100,10.0,0.5,3\n{later},11.0,0.6,3\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run("indicators", "--history", history, "--output", out) == 3
+        assert capsys.readouterr() == (
+            "", f"data error: {paths[1]}: timestamps are not aligned with {paths[0]}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra, message", [
         (["--machines", 0, "--fault-machine", -1], "machines must be >= 1"),
         (["--machines", 0], "fault machine index 0 out of range for 0 machines"),

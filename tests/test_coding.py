@@ -352,8 +352,9 @@ class TestOmpEncode:
         d = random_dictionary(rng)
         seg = random_segment(rng, n=150)
         code = omp_encode(seg, d, CodingConfig("omp", sparsity=0.9))
+        atoms = {atom.id: atom for atom in d.atoms}
         for inst in code.instances:
-            atom = d.atom_by_id(inst.atom_id)
+            atom = atoms[inst.atom_id]
             window = code.residual[inst.offset : inst.offset + len(atom)]
             assert abs(float(np.dot(window, atom.waveform))) < 1e-6
 

@@ -334,3 +334,146 @@ class TestTextReaders:
             read_key_values(str(path), ConfigError)
         with pytest.raises(DataError, match=r"cannot read .*missing\.cfg"):
             read_key_values(str(tmp_path / "missing.cfg"), DataError)
+
+
+# Floats whose text is easy to get wrong: a signed zero, both exponent
+# forms, and a sum that is not the decimal it looks like.
+AWKWARD = [-0.0, 1e-05, 1e+16, 0.1 + 0.2]
+AWKWARD_TEXT = ["-0.0", "1e-05", "1e+16", "0.30000000000000004"]
+
+
+def _write_indicator(tmp_path, **kwargs):
+    from vibdict.metrics import IndicatorSeries, save_indicator_csv
+
+    path = tmp_path / "ind.csv"
+    save_indicator_csv(IndicatorSeries("distance_deg", [10, 20, 30, 40], AWKWARD), str(path),
+                       **kwargs)
+    return path
+
+
+def _write_history(tmp_path):
+    from vibdict.metrics import HistoryRecord, save_history_csv
+
+    path = tmp_path / "m00_history.csv"
+    save_history_csv([HistoryRecord(100, -0.0, 1e-05, 3), HistoryRecord(200, 1e+16, 0.1 + 0.2, 0)],
+                     str(path))
+    return path
+
+
+def _write_labels(tmp_path):
+    from vibdict.detect import LabeledWindow, save_labels_csv
+
+    path = tmp_path / "labels.csv"
+    save_labels_csv([LabeledWindow("m00", 0, 100, "healthy"),
+                     LabeledWindow("m01", -50, 200, "faulty")], str(path))
+    return path
+
+
+def _write_roc(tmp_path):
+    from vibdict.detect import RocCurve, RocPoint, save_roc_csv
+
+    path = tmp_path / "roc.csv"
+    points = (RocPoint(float("inf"), 0.0, 0.0), RocPoint(1e-05, -0.0, 0.1 + 0.2),
+              RocPoint(float("-inf"), 1.0, 1.0))
+    save_roc_csv(RocCurve(points, 1e+16), str(path))
+    return path
+
+
+def _write_code(tmp_path, exhausted):
+    from dataclasses import replace
+
+    from vibdict.coding import AtomInstance, CodingConfig, encode, save_code_csv
+    from vibdict.dictionary import init_pseudorandom
+
+    # A real code with its instances and residual replaced by chosen ones.
+    code = encode(make_segment(np.arange(12.0)), init_pseudorandom(2, 4, 0, 1),
+                  CodingConfig("mp", n_instances=1))
+    code = replace(code, instances=(AtomInstance(0, 3, -0.0), AtomInstance(1, 0, 1e+16)),
+                   residual=np.array([3.0, 4.0]), exhausted=exhausted)
+    path = tmp_path / "code.csv"
+    save_code_csv(code, str(path))
+    return path
+
+
+def _write_train_log(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    from vibdict import fleet, learning
+    from vibdict.cli import RunConfig
+    from vibdict.dictionary import init_pseudorandom
+
+    indir = tmp_path / "m00"
+    indir.mkdir()
+    (indir / "seg.csv").write_text("0,100.0,m00\n1.0\n-2.0\n3.0\n0.5\n")
+    result = SimpleNamespace(dictionary=init_pseudorandom(1, 2, 0, 0),
+                             fidelity_db=np.array(AWKWARD), growth_events=0)
+    monkeypatch.setattr(learning, "train_baseline", lambda *args: result)
+    cfg = RunConfig(atoms=1, core_len=2, pad=0, train_blocks=1, block_len=4, rms_gate=0.0,
+                    output=str(tmp_path))
+    fleet.train_one(fleet.MachineTask("m00", str(indir), cfg, "csv"))
+    return tmp_path / "m00_train_log.csv"
+
+
+def _write_effective_config(tmp_path):
+    from vibdict.cli import RunConfig, write_effective_config
+
+    cfg = RunConfig(sparsity=0.1 + 0.2, eta=1e-05, rms_gate=-0.0, input="in dir", output="out")
+    write_effective_config(cfg, str(tmp_path))
+    return tmp_path / "effective_config.txt"
+
+
+def _write_segment_csv(tmp_path):
+    path = tmp_path / "seg.csv"
+    save_segment_csv(make_segment(AWKWARD, t=-7, source="m 00", rate=1e+16), str(path))
+    return path
+
+
+def _write_meta(tmp_path):
+    path = tmp_path / "seg.bin"
+    save_segment_raw(make_segment(AWKWARD, t=86400, source="m00", rate=0.1 + 0.2), str(path),
+                     "raw_f32le")
+    return tmp_path / "seg.bin.meta"
+
+
+ROWS = "".join(f"{t},{v}\n" for t, v in zip([10, 20, 30, 40], AWKWARD_TEXT))
+
+
+class TestTextWriters:
+    """Each writer's file, byte for byte."""
+
+    @pytest.mark.parametrize("write, text", [
+        (lambda p, mp: _write_indicator(p),
+         "# kind=distance_deg\ntimestamp,value\n" + ROWS),
+        (lambda p, mp: _write_indicator(p, machine="", comments={"time_constant": 30.0}),
+         "# kind=distance_deg\n# time_constant=30.0\ntimestamp,value\n" + ROWS),
+        (lambda p, mp: _write_indicator(p, machine="m01", comments={"a": "x=y", "b": 1e-05}),
+         "# machine=m01\n# kind=distance_deg\n# a=x=y\n# b=1e-05\ntimestamp,value\n" + ROWS),
+        (lambda p, mp: _write_history(p),
+         "timestamp,fidelity_db,distance_deg,n_instances\n"
+         "100,-0.0,1e-05,3\n200,1e+16,0.30000000000000004,0\n"),
+        (lambda p, mp: _write_labels(p),
+         "machine_id,start,end,label\nm00,0,100,healthy\nm01,-50,200,faulty\n"),
+        (lambda p, mp: _write_roc(p),
+         "threshold,fpr,tpr\ninf,0.0,0.0\n1e-05,-0.0,0.30000000000000004\n-inf,1.0,1.0\n"
+         "# auc=1e+16\n"),
+        (lambda p, mp: _write_code(p, exhausted=True),
+         "atom_id,offset,amplitude\n0,3,-0.0\n1,0,1e+16\n"
+         "# residual_l2=5.0\n# exhausted=true\n"),
+        (lambda p, mp: _write_code(p, exhausted=False),
+         "atom_id,offset,amplitude\n0,3,-0.0\n1,0,1e+16\n# residual_l2=5.0\n"),
+        (_write_train_log,
+         "block,fidelity_db\n" + "".join(f"{k},{v}\n" for k, v in enumerate(AWKWARD_TEXT))),
+        (lambda p, mp: _write_effective_config(p),
+         "algorithm=mp\natoms=8\nblock_len=12800\ncore_len=50\neta=1e-05\ninput=in dir\n"
+         "output=out\npad=10\nrms_gate=-0.0\nseed=0\nsparsity=0.30000000000000004\n"
+         "train_blocks=5000\n"),
+        (lambda p, mp: _write_segment_csv(p),
+         "-7,1e+16,m 00\n" + "".join(f"{v}\n" for v in AWKWARD_TEXT)),
+        (lambda p, mp: _write_meta(p),
+         "timestamp=86400\nsample_rate=0.30000000000000004\nsource_id=m00\n"),
+    ], ids=["indicator", "indicator-no-machine", "indicator-machine", "history", "labels",
+            "roc", "code-exhausted", "code", "train-log", "effective-config", "segment-csv",
+            "segment-meta"])
+    def test_bytes(self, tmp_path, monkeypatch, write, text):
+        path = write(tmp_path, monkeypatch)
+        assert path.read_bytes() == text.encode("utf-8")

@@ -36,9 +36,7 @@ class TestGradientDirections:
         w = unit_normalize(np.ones(4))
         d = Dictionary((Atom(w, 0),))
         residual = np.arange(10.0)
-        code = SparseCode(
-            (AtomInstance(0, 2, 2.0), AtomInstance(0, 5, -1.0)), residual, 0
-        )
+        code = SparseCode((AtomInstance(0, 2, 2.0), AtomInstance(0, 5, -1.0)), residual)
         grads = gradient_directions(code, d)
         expected = 2.0 * residual[2:6] - 1.0 * residual[5:9]
         np.testing.assert_allclose(grads[0], expected, atol=1e-12)
@@ -46,13 +44,13 @@ class TestGradientDirections:
     def test_unused_atoms_absent(self):
         w = unit_normalize(np.ones(4))
         d = Dictionary((Atom(w, 0), Atom(w.copy(), 1)))
-        code = SparseCode((AtomInstance(0, 0, 1.0),), np.ones(8), 0)
+        code = SparseCode((AtomInstance(0, 0, 1.0),), np.ones(8))
         grads = gradient_directions(code, d)
         assert set(grads) == {0}
 
     def test_unknown_instance_rejected(self):
         d = Dictionary((Atom(unit_normalize(np.ones(4)), 0),))
-        code = SparseCode((AtomInstance(7, 0, 1.0),), np.ones(8), 0)
+        code = SparseCode((AtomInstance(7, 0, 1.0),), np.ones(8))
         with pytest.raises(ValueError, match="unknown"):
             gradient_directions(code, d)
 
@@ -109,7 +107,7 @@ class TestGradientUpdate:
         w0 = unit_normalize(np.concatenate([np.zeros(3), np.ones(6), np.zeros(3)]))
         w1 = unit_normalize(np.concatenate([np.zeros(3), np.arange(1.0, 7.0), np.zeros(3)]))
         d = Dictionary((Atom(w0, 0), Atom(w1, 1)))
-        code = SparseCode((AtomInstance(0, 2, 1.5),), np.ones(24), 0)
+        code = SparseCode((AtomInstance(0, 2, 1.5),), np.ones(24))
         out = gradient_update(d, code, LearnConfig(eta=1e-3, tail_len=3))
         assert out.atoms[1] is d.atoms[1]
         assert out.atoms[0] is not d.atoms[0]
@@ -134,7 +132,7 @@ class TestGradientUpdate:
         d = Dictionary((Atom(w, 0),))
         residual = np.zeros(30)
         residual[4] = 1.0  # inside the instance window [2, 14)
-        code = SparseCode((AtomInstance(0, 2, 2.0),), residual, 0)
+        code = SparseCode((AtomInstance(0, 2, 2.0),), residual)
         out = gradient_update(d, code, LearnConfig(eta=1e-2, grow=False))
         delta = out.atoms[0].waveform - w
         assert delta[2] > 0  # window position of the residual spike
@@ -145,7 +143,7 @@ class TestGradientUpdate:
         w = unit_normalize(np.concatenate([np.ones(4), np.zeros(8)]))
         d = Dictionary((Atom(w, 0),))
         residual = np.full(20, 1e-9)
-        code = SparseCode((AtomInstance(0, 0, 1.0),), residual, 0)
+        code = SparseCode((AtomInstance(0, 0, 1.0),), residual)
         out = gradient_update(d, code, LearnConfig(eta=1e-6, tail_len=4, tail_ratio=0.1))
         assert len(out.atoms[0]) == 16
         np.testing.assert_array_equal(out.atoms[0].waveform[:4], 0.0)
@@ -153,7 +151,7 @@ class TestGradientUpdate:
     def test_growth_disabled(self):
         w = unit_normalize(np.concatenate([np.ones(4), np.zeros(8)]))
         d = Dictionary((Atom(w, 0),))
-        code = SparseCode((AtomInstance(0, 0, 1.0),), np.full(20, 1e-9), 0)
+        code = SparseCode((AtomInstance(0, 0, 1.0),), np.full(20, 1e-9))
         out = gradient_update(d, code, LearnConfig(eta=1e-6, tail_len=4, grow=False))
         assert len(out.atoms[0]) == 12
 
