@@ -44,7 +44,7 @@ def main():
     start = init_pseudorandom(num_atoms=3, core_len=50, pad=10, seed=5)
     result = train_baseline(blocks, start,
                             CodingConfig("mp", sparsity=0.99, n_instances=10),
-                            LearnConfig(eta=3e-4, noise_var=1.0))
+                            LearnConfig(eta=3e-4))
 
     print(f"trained on {len(blocks)} blocks, "
           f"{result.growth_events} atom growth events")

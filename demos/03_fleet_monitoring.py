@@ -49,7 +49,7 @@ def main():
         blocks = [preprocess(s) for s in fleet[machine]]
         d0 = init_pseudorandom(num_atoms=3, core_len=50, pad=10, seed=5)
         baselines[machine] = train_baseline(
-            blocks, d0, CODING, LearnConfig(eta=3e-4, noise_var=1.0)).dictionary
+            blocks, d0, CODING, LearnConfig(eta=3e-4)).dictionary
     print(f"trained {len(baselines)} baselines")
 
     fault = FaultSpec(onset=ONSET * CADENCE, impulse_period=149,
@@ -69,7 +69,7 @@ def main():
     for machine in machines:
         stream = [preprocess(s) for s in fleet[machine]]
         records = [record for _, record, _ in monitor_segments(
-            stream, baselines[machine], CODING, LearnConfig(eta=1e-4, noise_var=1.0))]
+            stream, baselines[machine], CODING, LearnConfig(eta=1e-4))]
         series[machine] = IndicatorSeries(
             machine,
             np.array([r.timestamp for r in records]),

@@ -52,7 +52,7 @@ def fit_dictionary(machine, seed, planted):
     blocks = [preprocess(s) for s in fleet[machine]]
     d0 = init_pseudorandom(num_atoms=3, core_len=50, pad=10, seed=5)
     return train_baseline(blocks, d0, CODING,
-                          LearnConfig(eta=3e-4, noise_var=1.0)).dictionary
+                          LearnConfig(eta=3e-4)).dictionary
 
 
 def nearest_point(curve, fpr):
@@ -85,7 +85,7 @@ def main():
     for machine in machines:
         stream = [preprocess(s) for s in fleet[machine]]
         records = [record for _, record, _ in monitor_segments(
-            stream, starts[machine], CODING, LearnConfig(eta=1e-4, noise_var=1.0),
+            stream, starts[machine], CODING, LearnConfig(eta=1e-4),
             baseline=baselines[machine])]
         series[machine] = IndicatorSeries(
             machine,

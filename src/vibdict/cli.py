@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
-import math
 import os
 import sys
 import typing
@@ -64,12 +63,10 @@ class RunConfig:
     output: str = ""
 
     def __post_init__(self):
-        # algorithm, sparsity and eta are checked by the coder and learner
-        # configs that fleet.coder_configs builds from them.
+        # algorithm, sparsity, eta and rms_gate are checked by the coder,
+        # learner and gate configs that fleet.coder_configs builds from them.
         if self.atoms < 1 or self.core_len < 1 or self.pad < 0:
             raise ConfigError("atoms and core_len must be >= 1, pad >= 0")
-        if not (math.isfinite(self.rms_gate) and self.rms_gate >= 0):
-            raise ConfigError(f"rms_gate must be finite and >= 0, got {self.rms_gate}")
         if self.train_blocks < 1 or self.block_len < 1:
             raise ConfigError("train_blocks and block_len must be >= 1")
         if self.block_len < 2:  # a block of one sample has no variance to standardize
@@ -206,8 +203,6 @@ def _history_files(history_dir: str) -> list[tuple[str, str]]:
     for name in sorted(os.listdir(history_dir)):
         if name.endswith("_history.csv"):
             out.append((name[: -len("_history.csv")], os.path.join(history_dir, name)))
-        elif name == "history.csv":
-            out.append(("machine", os.path.join(history_dir, name)))
     if not out:
         raise DataError(f"no *_history.csv files found under {history_dir}")
     return out
@@ -273,6 +268,9 @@ def cmd_roc(args) -> int:
     for path in args.indicators:
         series, meta = metrics.load_indicator_csv(path)
         machine = meta.get("machine") or os.path.splitext(os.path.basename(path))[0]
+        if machine in series_by_machine:
+            raise DataError(f"{path}: machine {machine!r} also comes from "
+                            f"{series_by_machine[machine].name}; roc takes one file per machine")
         series_by_machine[machine] = metrics.IndicatorSeries(
             path, series.timestamps, series.values
         )

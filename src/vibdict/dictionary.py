@@ -102,31 +102,37 @@ def init_pseudorandom(
     return Dictionary(tuple(atoms), generation=0)
 
 
-def maybe_grow(atom: Atom, tail_len: int = 10, ratio: float = 0.1) -> Atom:
+GROWTH_TAIL_LEN = 10
+GROWTH_TAIL_RATIO = 0.1
+
+
+def maybe_grow(atom: Atom) -> Atom:
     """Extend an atom with zeros on any tail that carries too much energy.
 
-    Each tail is checked independently against the whole-atom RMS; a tail
-    whose RMS exceeds ``ratio`` times the atom RMS gets ``tail_len`` zeros
+    Each tail of ``GROWTH_TAIL_LEN`` samples is checked independently
+    against the whole-atom RMS; a tail whose RMS exceeds
+    ``GROWTH_TAIL_RATIO`` times the atom RMS gets ``GROWTH_TAIL_LEN`` zeros
     appended on that side. Interior samples are never altered; the result
     is re-normalized only when it actually grew, so a no-growth call
-    returns the input atom unchanged.
+    returns the input atom unchanged. An atom shorter than two tails never
+    grows.
     """
-    w = atom.waveform
-    if len(w) < 2 * tail_len:
-        raise ValueError(f"atom of length {len(w)} too short for tail_len {tail_len}")
+    w, n = atom.waveform, GROWTH_TAIL_LEN
+    if len(w) < 2 * n:
+        return atom
     atom_rms = np.sqrt(np.mean(w * w))
-    lead_rms = np.sqrt(np.mean(w[:tail_len] * w[:tail_len]))
-    trail_rms = np.sqrt(np.mean(w[-tail_len:] * w[-tail_len:]))
-    grow_lead = lead_rms > ratio * atom_rms
-    grow_trail = trail_rms > ratio * atom_rms
+    lead_rms = np.sqrt(np.mean(w[:n] * w[:n]))
+    trail_rms = np.sqrt(np.mean(w[-n:] * w[-n:]))
+    grow_lead = lead_rms > GROWTH_TAIL_RATIO * atom_rms
+    grow_trail = trail_rms > GROWTH_TAIL_RATIO * atom_rms
     if not grow_lead and not grow_trail:
         return atom
     parts = []
     if grow_lead:
-        parts.append(np.zeros(tail_len))
+        parts.append(np.zeros(n))
     parts.append(w)
     if grow_trail:
-        parts.append(np.zeros(tail_len))
+        parts.append(np.zeros(n))
     return Atom(unit_normalize(np.concatenate(parts)), atom.id)
 
 

@@ -54,22 +54,25 @@ def machine_seed(base_seed: int, machine: str) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def coder_configs(cfg: RunConfig) -> tuple[coding.CodingConfig, learning.LearnConfig]:
-    """The coder and learner settings of a run; a bad one raises ConfigError."""
+def coder_configs(
+    cfg: RunConfig,
+) -> tuple[coding.CodingConfig, learning.LearnConfig, ingest.SegmentGate]:
+    """The coder, learner and RMS gate settings of a run; a bad one raises ConfigError."""
     try:
-        return coding.CodingConfig(cfg.algorithm, cfg.sparsity), learning.LearnConfig(eta=cfg.eta)
+        gate = ingest.SegmentGate(cfg.rms_gate)
+        return (coding.CodingConfig(cfg.algorithm, cfg.sparsity),
+                learning.LearnConfig(eta=cfg.eta), gate)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _prepared_segments(indir: str, fmt: str, cfg: RunConfig):
+def _prepared_segments(indir: str, fmt: str, gate: ingest.SegmentGate):
     """Load, gate, and standardize one machine's segments.
 
     Returns (available, gated, prepared) so callers can report the
     accounting in errors.
     """
     segments = ingest.load_segments(indir, fmt)
-    gate = ingest.SegmentGate(cfg.rms_gate)
     gated = ingest.gate_by_rms(segments, gate)
     return len(segments), len(gated), [ingest.preprocess(s) for s in gated]
 
@@ -77,8 +80,8 @@ def _prepared_segments(indir: str, fmt: str, cfg: RunConfig):
 def train_one(task: MachineTask) -> tuple[float, int]:
     """Train and save one machine's baseline; return (final fidelity dB, growth events)."""
     cfg, machine = task.cfg, task.machine
-    coding_cfg, learn_cfg = coder_configs(cfg)
-    available, gated, prepared = _prepared_segments(task.indir, task.fmt, cfg)
+    coding_cfg, learn_cfg, gate = coder_configs(cfg)
+    available, gated, prepared = _prepared_segments(task.indir, task.fmt, gate)
     usable = [s for s in prepared if len(s) >= cfg.block_len]
     if not usable:
         raise DataError(
@@ -117,12 +120,12 @@ def _baseline_for(machine: str, baseline_path: str, cfg: RunConfig):
 def monitor_one(task: MachineTask) -> tuple[int, metrics.HistoryRecord | None]:
     """Monitor one machine and save its outputs; return (records, last record)."""
     cfg, machine = task.cfg, task.machine
-    coding_cfg, learn_cfg = coder_configs(cfg)
+    coding_cfg, learn_cfg, gate = coder_configs(cfg)
     if task.mode in ("frozen", "foreign"):
         learn_cfg = replace(learn_cfg, eta=0.0)
     own = _baseline_for(machine, task.baseline, cfg)
     live = _load_baseline(task.foreign, cfg) if task.mode == "foreign" else own
-    _, _, prepared = _prepared_segments(task.indir, task.fmt, cfg)
+    _, _, prepared = _prepared_segments(task.indir, task.fmt, gate)
     for before, after in zip(prepared, prepared[1:]):
         if before.timestamp == after.timestamp:
             raise DataError(f"{task.indir}: two segments at timestamp {after.timestamp}; "

@@ -36,9 +36,6 @@ RAW_DTYPES = {"raw_f32le": "<f4", "raw_f64le": "<f8"}
 SEGMENT_HEADER = "timestamp,sample_rate,source_id"
 FORMATS = ("csv",) + tuple(RAW_DTYPES)
 
-# PRNG used for block sampling; recorded in run configs so results replay.
-PRNG_ALGORITHM = "pcg64"
-
 
 @dataclass(frozen=True, eq=False)
 class SignalSegment:
@@ -77,11 +74,11 @@ class SignalSegment:
 class SegmentGate:
     """RMS inclusion gate; segments at or below the threshold are dropped."""
 
-    rms_threshold: float = 0.5
+    rms_gate: float = 0.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.rms_threshold) and self.rms_threshold >= 0):
-            raise ValueError(f"rms_threshold must be finite and >= 0, got {self.rms_threshold}")
+        if not (math.isfinite(self.rms_gate) and self.rms_gate >= 0):
+            raise ValueError(f"rms_gate must be finite and >= 0, got {self.rms_gate}")
 
 
 def rms(samples: np.ndarray) -> float:
@@ -307,7 +304,7 @@ def gate_by_rms(segments: list[SignalSegment], gate: SegmentGate) -> list[Signal
     since the threshold is physical (G). Segments hold finite samples
     only, so no NaN can fail the comparison and drop a segment unseen.
     """
-    return [seg for seg in segments if rms(seg.samples) > gate.rms_threshold]
+    return [seg for seg in segments if rms(seg.samples) > gate.rms_gate]
 
 
 def preprocess(segment: SignalSegment) -> SignalSegment:

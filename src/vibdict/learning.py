@@ -5,9 +5,10 @@ the Gaussian log-likelihood of the residual with respect to its waveform:
 
     phi_m <- phi_m + (eta / sigma^2) * sum_{i: m(i)=m} a_i * eps[tau_i : tau_i + L_m]
 
-followed by the tail-growth check and re-normalization to unit energy.
-Atoms that were not used in the block are left untouched, and a zero
-learning rate leaves the whole dictionary object untouched, which is what
+with sigma^2 taken as 1, so the step size is ``eta`` alone, followed by
+re-normalization to unit energy and the fixed tail-growth rule. Atoms
+that were not used in the block are left untouched, and a zero learning
+rate leaves the whole dictionary object untouched, which is what
 distinguishes frozen monitoring from adaptive monitoring.
 """
 
@@ -27,29 +28,19 @@ from .metrics import HistoryRecord, dictionary_distance, fidelity_db
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Gradient step size and atom-growth policy.
+    """Gradient step size.
 
-    ``eta`` is the learning rate and ``noise_var`` the assumed residual
-    noise variance sigma^2; only their ratio matters. ``eta = 0`` disables
-    adaptation entirely. Growth appends ``tail_len`` zeros beyond a tail
-    whose RMS exceeds ``tail_ratio`` times the whole atom's RMS.
+    ``eta`` is the learning rate, with the residual noise variance sigma^2
+    taken as 1, so ``eta`` is the whole step size. ``eta = 0`` disables
+    adaptation entirely. Atom growth is the fixed rule of
+    :func:`vibdict.dictionary.maybe_grow`.
     """
 
     eta: float = 1e-6
-    noise_var: float = 1.0
-    tail_len: int = 10
-    tail_ratio: float = 0.1
-    grow: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta >= 0):
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
-        if not (math.isfinite(self.noise_var) and self.noise_var > 0):
-            raise ValueError(f"noise_var must be positive and finite, got {self.noise_var}")
-        if self.tail_len < 1:
-            raise ValueError("tail_len must be >= 1")
-        if not 0 < self.tail_ratio < 1:
-            raise ValueError("tail_ratio must be in (0, 1)")
 
 
 def gradient_directions(code: SparseCode, dictionary: Dictionary) -> dict[int, np.ndarray]:
@@ -83,17 +74,13 @@ def gradient_update(dictionary: Dictionary, code: SparseCode, cfg: LearnConfig) 
     if cfg.eta == 0.0:
         return dictionary
     grads = gradient_directions(code, dictionary)
-    scale = cfg.eta / cfg.noise_var
     atoms = []
     for atom in dictionary.atoms:
         g = grads.get(atom.id)
         if g is None or not np.any(g):
             atoms.append(atom)
             continue
-        updated = Atom(unit_normalize(atom.waveform + scale * g), atom.id)
-        if cfg.grow and len(updated) >= 2 * cfg.tail_len:
-            updated = maybe_grow(updated, cfg.tail_len, cfg.tail_ratio)
-        atoms.append(updated)
+        atoms.append(maybe_grow(Atom(unit_normalize(atom.waveform + cfg.eta * g), atom.id)))
     return Dictionary(tuple(atoms), dictionary.generation + 1)
 
 

@@ -233,7 +233,7 @@ def test_criterion_05_sparsity_accounting(verdict):
 
 RECOVERY_BLOCK = 2048
 RECOVERY_CODING = CodingConfig("mp", sparsity=0.99, n_instances=10)
-RECOVERY_LEARN = LearnConfig(eta=3e-4, noise_var=1.0)
+RECOVERY_LEARN = LearnConfig(eta=3e-4)
 # five instances per block at amplitude mean 3, std 0.5 against noise
 # sized for a 10 dB planted-to-noise power ratio
 RECOVERY_RATE = 2.5
@@ -299,7 +299,7 @@ def test_criterion_09_fidelity_ordering(recovery_outcome, verdict):
 def test_criterion_10_foreign_baseline_degradation(recovery_outcome, verdict):
     failures = []
     stream = _planted_stream(seed=78, segments=50)
-    frozen = LearnConfig(eta=0.0, noise_var=1.0)
+    frozen = LearnConfig(eta=0.0)
     own = recovery_outcome["dictionary"]
     foreign = init_pseudorandom(num_atoms=3, core_len=50, pad=10, seed=1234)
     own_records = [r for _, r, _ in monitor_segments(stream, own, RECOVERY_CODING, frozen)]
@@ -324,8 +324,8 @@ FLEET_CADENCE = 3600
 FLEET_SEGMENTS = 300
 ONSET_INDEX = 150
 FLEET_CODING = CodingConfig("mp", sparsity=0.99, n_instances=8)
-FLEET_TRAIN_LEARN = LearnConfig(eta=3e-4, noise_var=1.0)
-FLEET_MONITOR_LEARN = LearnConfig(eta=1e-4, noise_var=1.0)
+FLEET_TRAIN_LEARN = LearnConfig(eta=3e-4)
+FLEET_MONITOR_LEARN = LearnConfig(eta=1e-4)
 FLEET_MONITOR_RATE = 5.0
 MAD_THRESHOLD = 3.0
 

@@ -674,6 +674,30 @@ class TestIndicatorsAndRoc:
             np.testing.assert_allclose(series.values, expected_mad[machine].values,
                                        atol=1e-12)
 
+    def test_indicators_read_only_machine_history_files(self, tmp_path):
+        # history.csv names no machine; machine_history.csv is machine "machine".
+        # history.csv's timestamps match no other file's, so reading it fails.
+        history = tmp_path / "hist"
+        history.mkdir()
+        distances = {"history": [9.0, 9.0], "machine_history": [0.1, 0.2, 0.4],
+                     "m01_history": [0.3, 0.3, 0.5]}
+        for stem, values in distances.items():
+            (history / f"{stem}.csv").write_text(
+                "timestamp,fidelity_db,distance_deg,n_instances\n"
+                + "".join(f"{100 * (k + 1)},10.0,{v},3\n" for k, v in enumerate(values)))
+        out = tmp_path / "ind"
+        assert run("indicators", "--history", history, "--output", out,
+                   "--time-constant", 2) == 0
+        assert sorted(os.listdir(out)) == sorted(
+            f"{m}_{column}.csv" for m in ("machine", "m01")
+            for column in ("fidelity_db_smooth", "distance_deg_smooth", "distance_mad"))
+        for machine in ("machine", "m01"):
+            series, meta = load_indicator_csv(str(out / f"{machine}_distance_deg_smooth.csv"))
+            assert meta["machine"] == machine
+            np.testing.assert_allclose(
+                series.values, lowpass(np.array(distances[f"{machine}_history"]), 2.0),
+                atol=1e-12)
+
     def test_roc_on_separable_indicator(self, small_fleet, tmp_path):
         # hand-build perfectly separating indicator files
         ind_dir = tmp_path / "ind"
@@ -942,6 +966,25 @@ class TestFlagErrors:
         self.expect(capsys, ["roc", "--indicators", *paths, "--labels", labels,
                              "--output", tmp_path / "roc.csv", *extra],
                     message.format(**{m: p for m, p in zip(machines, paths)}))
+        assert not (tmp_path / "roc.csv").exists()
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_roc_repeated_machine(self, tmp_path, capsys, swap):
+        # Two files of one machine would keep only the later one, so the AUC
+        # would hang on argument order; they fail before the labels are read.
+        paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
+        for path, machine, values in zip(paths, ("m00", "m00", "m01"),
+                                         (np.zeros(5), np.arange(5.0), np.ones(5))):
+            save_indicator_csv(IndicatorSeries("distance", np.arange(1, 6) * 100, values),
+                               str(path), machine=machine)
+        if swap:
+            paths[:2] = paths[1::-1]
+        capsys.readouterr()
+        assert run("roc", "--indicators", *paths, "--labels", tmp_path / "missing.csv",
+                   "--output", tmp_path / "roc.csv") == 3
+        assert capsys.readouterr() == (
+            "", f"data error: {paths[1]}: machine 'm00' also comes from {paths[0]}; "
+                "roc takes one file per machine\n")
         assert not (tmp_path / "roc.csv").exists()
 
     def test_indicators_misaligned_histories(self, tmp_path, capsys):

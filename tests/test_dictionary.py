@@ -93,12 +93,12 @@ class TestGrow:
 
     def test_no_growth_returns_same_object(self):
         atom = self.quiet_tails()
-        assert maybe_grow(atom, tail_len=10, ratio=0.1) is atom
+        assert maybe_grow(atom) is atom
 
     def test_trailing_growth_appends_zeros(self):
         w = np.concatenate([np.zeros(10), np.ones(30), np.full(10, 0.5)])
         atom = Atom(unit_normalize(w), 3)
-        grown = maybe_grow(atom, tail_len=10, ratio=0.1)
+        grown = maybe_grow(atom)
         assert len(grown) == 60
         assert grown.id == 3
         np.testing.assert_array_equal(grown.waveform[-10:], 0.0)
@@ -109,26 +109,27 @@ class TestGrow:
 
     def test_leading_growth_prepends_zeros(self):
         w = np.concatenate([np.full(10, 0.5), np.ones(30), np.zeros(10)])
-        grown = maybe_grow(Atom(unit_normalize(w), 0), tail_len=10, ratio=0.1)
+        grown = maybe_grow(Atom(unit_normalize(w), 0))
         assert len(grown) == 60
         np.testing.assert_array_equal(grown.waveform[:10], 0.0)
 
     def test_both_tails_grow_independently(self):
         w = np.ones(40)
-        grown = maybe_grow(Atom(unit_normalize(w), 0), tail_len=10, ratio=0.1)
+        grown = maybe_grow(Atom(unit_normalize(w), 0))
         assert len(grown) == 60
         np.testing.assert_array_equal(grown.waveform[:10], 0.0)
         np.testing.assert_array_equal(grown.waveform[-10:], 0.0)
 
     def test_growth_decision_is_scale_invariant(self):
         w = np.concatenate([np.zeros(10), np.ones(30), np.full(10, 0.2)])
-        small = maybe_grow(Atom(w, 0), tail_len=10, ratio=0.1)
-        large = maybe_grow(Atom(100.0 * w, 0), tail_len=10, ratio=0.1)
+        small = maybe_grow(Atom(w, 0))
+        large = maybe_grow(Atom(100.0 * w, 0))
         assert len(small) == len(large) == 60
 
-    def test_too_short_atom_rejected(self):
-        with pytest.raises(ValueError, match="too short"):
-            maybe_grow(Atom(unit_normalize(np.ones(15)), 0), tail_len=10)
+    def test_atom_shorter_than_two_tails_returned_unchanged(self):
+        short = Atom(unit_normalize(np.ones(19)), 0)
+        assert maybe_grow(short) is short
+        assert len(maybe_grow(Atom(unit_normalize(np.ones(20)), 0))) == 40
 
 
 class TestSerialization:

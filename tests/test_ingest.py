@@ -69,7 +69,7 @@ class TestGate:
 
     @pytest.mark.parametrize("threshold", [-0.1, float("nan"), float("inf")])
     def test_threshold_must_be_finite_and_non_negative(self, threshold):
-        with pytest.raises(ValueError, match="rms_threshold"):
+        with pytest.raises(ValueError, match="rms_gate"):
             SegmentGate(threshold)
 
     def test_matches_bruteforce_filter(self):

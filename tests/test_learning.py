@@ -90,7 +90,6 @@ class TestGradientDirections:
 class TestLearnConfig:
     @pytest.mark.parametrize("field, value", [
         ("eta", -1e-3), ("eta", float("nan")), ("eta", float("inf")),
-        ("noise_var", 0.0), ("noise_var", float("nan")), ("noise_var", float("inf")),
     ])
     def test_out_of_range_or_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -108,7 +107,7 @@ class TestGradientUpdate:
         w1 = unit_normalize(np.concatenate([np.zeros(3), np.arange(1.0, 7.0), np.zeros(3)]))
         d = Dictionary((Atom(w0, 0), Atom(w1, 1)))
         code = SparseCode((AtomInstance(0, 2, 1.5),), np.ones(24))
-        out = gradient_update(d, code, LearnConfig(eta=1e-3, tail_len=3))
+        out = gradient_update(d, code, LearnConfig(eta=1e-3))
         assert out.atoms[1] is d.atoms[1]
         assert out.atoms[0] is not d.atoms[0]
 
@@ -133,27 +132,20 @@ class TestGradientUpdate:
         residual = np.zeros(30)
         residual[4] = 1.0  # inside the instance window [2, 14)
         code = SparseCode((AtomInstance(0, 2, 2.0),), residual)
-        out = gradient_update(d, code, LearnConfig(eta=1e-2, grow=False))
+        out = gradient_update(d, code, LearnConfig(eta=1e-2))
         delta = out.atoms[0].waveform - w
         assert delta[2] > 0  # window position of the residual spike
         assert abs(delta[2]) > np.abs(np.delete(delta, 2)).max() - 1e-12
 
     def test_growth_applied_after_update(self):
-        # concentrate energy in the leading tail so growth must trigger
-        w = unit_normalize(np.concatenate([np.ones(4), np.zeros(8)]))
+        # concentrate energy in the leading 10-sample tail so growth must trigger
+        w = unit_normalize(np.concatenate([np.ones(10), np.zeros(14)]))
         d = Dictionary((Atom(w, 0),))
-        residual = np.full(20, 1e-9)
+        residual = np.full(40, 1e-9)
         code = SparseCode((AtomInstance(0, 0, 1.0),), residual)
-        out = gradient_update(d, code, LearnConfig(eta=1e-6, tail_len=4, tail_ratio=0.1))
-        assert len(out.atoms[0]) == 16
-        np.testing.assert_array_equal(out.atoms[0].waveform[:4], 0.0)
-
-    def test_growth_disabled(self):
-        w = unit_normalize(np.concatenate([np.ones(4), np.zeros(8)]))
-        d = Dictionary((Atom(w, 0),))
-        code = SparseCode((AtomInstance(0, 0, 1.0),), np.full(20, 1e-9))
-        out = gradient_update(d, code, LearnConfig(eta=1e-6, tail_len=4, grow=False))
-        assert len(out.atoms[0]) == 12
+        out = gradient_update(d, code, LearnConfig(eta=1e-6))
+        assert len(out.atoms[0]) == 34
+        np.testing.assert_array_equal(out.atoms[0].waveform[:10], 0.0)
 
 
 class TestTrainBaseline:
