@@ -10,14 +10,17 @@ Subcommands mirror the two-stage protocol plus the analysis helpers:
   synth       generate a synthetic fleet with an optional planted fault
   atom-info   print per-atom diagnostics of a dictionary file
 
-Configuration comes from defaults, then an optional flat key=value config
-file, then explicit flags, in increasing precedence. Every command that
-writes an output directory drops an ``effective_config.txt`` there so
-runs are replayable. Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numeric failure. Each command reports a bad flag as a
-configuration error where it uses the flag, and a bad file as a data
-error naming it; any other exception, a bug's ValueError included,
-propagates with its traceback.
+Each setting is a flag of the commands that read it. ``train``, ``monitor``
+and ``synth`` also take ``--config FILE`` of ``key = value`` lines, keyed
+by the command's flags in snake case (``--algo`` is ``algorithm``), which
+flags on the command line override. Each writes its resolved flags to
+``effective_config.txt`` in its output directory, and
+``vibdict <command> --config <out>/effective_config.txt`` replays the run.
+
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
+failure. Each command reports a bad flag as a configuration error where
+it uses the flag, and a bad file as a data error naming it; any other
+exception, a bug's ValueError included, propagates with its traceback.
 
 Each command imports the modules it runs inside its handler, so a stage
 loads no coder, detector or generator that it does not use.
@@ -30,8 +33,7 @@ import gc
 import importlib
 import os
 import sys
-import typing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,73 +47,45 @@ from .defaults import (
 from .errors import ConfigError, DataError, NumericError
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Pipeline parameters; defaults match the reference protocol."""
+class _ConfigFile(argparse.Action):
+    """``--config FILE``: the file's ``key = value`` lines become defaults of this command.
 
-    algorithm: str = "mp"
-    sparsity: float = 0.9
-    eta: float = 1e-6
-    atoms: int = 8
-    core_len: int = 50
-    pad: int = 10
-    rms_gate: float = 0.5
-    train_blocks: int = 5000
-    block_len: int = 12800
-    seed: int = 0
-    input: str = ""
-    output: str = ""
+    A key is the ``dest`` of one of the command's flags. Its value is
+    converted with that flag's type and must be one of its choices, if it
+    has any; a boolean flag takes ``True`` or ``False``. ``main`` parses
+    the command line again once the file is applied, so a flag given
+    there still wins.
+    """
 
-    def __post_init__(self):
-        # algorithm, sparsity, eta and rms_gate are checked by the coder,
-        # learner and gate configs that fleet.coder_configs builds from them.
-        if self.atoms < 1 or self.core_len < 1 or self.pad < 0:
-            raise ConfigError("atoms and core_len must be >= 1, pad >= 0")
-        if self.train_blocks < 1 or self.block_len < 1:
-            raise ConfigError("train_blocks and block_len must be >= 1")
-        if self.block_len < 2:  # a block of one sample has no variance to standardize
-            raise ConfigError("block_len must be >= 2")
-
-
-# Field name -> annotated type, which also converts the config file's text.
-_FIELD_TYPES = typing.get_type_hints(RunConfig)
+    def __call__(self, parser, namespace, path, option_string=None):
+        flags = {a.dest: a for a in parser._actions if a.dest not in ("help", self.dest)}
+        values = {}
+        for lineno, key, raw in ingest.read_key_values(path, ConfigError):
+            flag = flags.get(key)
+            if flag is None:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                if flag.nargs == 0:  # a boolean flag such as --dump-codes
+                    values[key] = {"True": True, "False": False}[raw]
+                else:
+                    values[key] = (flag.type or str)(raw)
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
+            if flag.choices is not None and values[key] not in flag.choices:
+                raise ConfigError(f"{key} must be one of {tuple(flag.choices)}, got {raw!r}")
+        parser.set_defaults(**values)
+        setattr(namespace, self.dest, path)
 
 
-def load_config_file(path: str) -> dict:
-    """Parse a flat ``key = value`` config file into typed overrides."""
-    overrides: dict = {}
-    for lineno, key, raw in ingest.read_key_values(path, ConfigError):
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            overrides[key] = _FIELD_TYPES[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
-    return overrides
-
-
-def resolve_config(args) -> RunConfig:
-    """Merge defaults, the optional config file, and explicit flags."""
-    overrides: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        overrides.update(load_config_file(config_path))
-    for key in _FIELD_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            overrides[key] = flag
-    if getattr(args, "algo", None) is not None:
-        overrides["algorithm"] = args.algo
-    try:
-        return replace(RunConfig(), **overrides)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def write_effective_config(cfg: RunConfig, outdir: str) -> None:
+def write_effective_config(args, outdir: str) -> None:
+    """Record the command's resolved flags, which ``--config`` reads back."""
     os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "effective_config.txt")
-    ingest.write_key_values(path, sorted(asdict(cfg).items()))
+    settings = [(key, value) for key, value in sorted(vars(args).items())
+                if key not in ("func", "command", "config") and value is not None]
+    try:  # a path flag holding a line break
+        ingest.write_key_values(os.path.join(outdir, "effective_config.txt"), settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _machine_dirs(path: str) -> list[tuple[str, str]]:
@@ -135,22 +109,27 @@ def cmd_train(args) -> int:
     from . import fleet
 
     _check_jobs(args.jobs)
-    cfg = resolve_config(args)
-    if not cfg.input or not cfg.output:
+    if args.atoms < 1 or args.core_len < 1 or args.pad < 0:
+        raise ConfigError("atoms and core_len must be >= 1, pad >= 0")
+    if args.train_blocks < 1:
+        raise ConfigError("train_blocks must be >= 1")
+    if args.block_len < 2:  # a block of one sample has no variance to standardize
+        raise ConfigError("block_len must be >= 2")
+    if not args.input or not args.output:
         raise ConfigError("train requires --input and --output")
-    if cfg.core_len + 2 * cfg.pad > cfg.block_len:
+    if args.core_len + 2 * args.pad > args.block_len:
         raise ConfigError(
-            f"seed atoms of core_len + 2 * pad = {cfg.core_len + 2 * cfg.pad} samples "
-            f"do not fit in block_len={cfg.block_len}"
+            f"seed atoms of core_len + 2 * pad = {args.core_len + 2 * args.pad} samples "
+            f"do not fit in block_len={args.block_len}"
         )
-    fleet.coder_configs(cfg)
-    write_effective_config(cfg, cfg.output)
-    machines = _machine_dirs(cfg.input)
-    tasks = [fleet.MachineTask(machine, indir, cfg, args.format) for machine, indir in machines]
+    fleet.coder_configs(args)
+    write_effective_config(args, args.output)
+    machines = _machine_dirs(args.input)
+    tasks = [fleet.MachineTask(machine, indir, args) for machine, indir in machines]
     results = fleet.run_per_machine(fleet.train_one, tasks, args.jobs)
     for (machine, _), (fidelity, growth_events) in zip(machines, results):
         print(
-            f"{machine}: trained {cfg.atoms} atoms over {cfg.train_blocks} blocks, "
+            f"{machine}: trained {args.atoms} atoms over {args.train_blocks} blocks, "
             f"final fidelity {fidelity:.2f} dB, "
             f"{growth_events} growth events"
         )
@@ -161,19 +140,16 @@ def cmd_monitor(args) -> int:
     from . import fleet
 
     _check_jobs(args.jobs)
-    cfg = resolve_config(args)
-    if not cfg.input or not cfg.output:
-        raise ConfigError("monitor requires --input and --output")
+    if args.atoms < 1:
+        raise ConfigError("atoms must be >= 1")
+    if not args.input or not args.output or not args.baseline:
+        raise ConfigError("monitor requires --input, --output and --baseline")
     if args.mode == "foreign" and not args.foreign:
         raise ConfigError("--mode foreign requires --foreign DICT")
-    fleet.coder_configs(cfg)
-    write_effective_config(cfg, cfg.output)
-    machines = _machine_dirs(cfg.input)
-    tasks = [
-        fleet.MachineTask(machine, indir, cfg, args.format, args.baseline, args.mode,
-                          args.foreign, args.dump_codes)
-        for machine, indir in machines
-    ]
+    fleet.coder_configs(args)
+    write_effective_config(args, args.output)
+    machines = _machine_dirs(args.input)
+    tasks = [fleet.MachineTask(machine, indir, args) for machine, indir in machines]
     results = fleet.run_per_machine(fleet.monitor_one, tasks, args.jobs)
     for (machine, _), (count, last) in zip(machines, results):
         if last is not None:
@@ -300,9 +276,10 @@ def cmd_roc(args) -> int:
 def cmd_synth(args) -> int:
     from . import synth
 
-    cfg = resolve_config(args)
-    if not cfg.output:
+    if not args.output:
         raise ConfigError("synth requires --output")
+    if args.fault_machine < -1:
+        raise ConfigError(f"--fault-machine must be >= -1 (-1 for none), got {args.fault_machine}")
     if args.fault_machine >= args.machines:
         raise ConfigError(
             f"fault machine index {args.fault_machine} out of range for {args.machines} machines"
@@ -311,7 +288,7 @@ def cmd_synth(args) -> int:
     try:  # synth reads no file, so a ValueError here comes from a flag
         specs = []
         for base in synth.default_fleet_specs(
-            args.machines, args.fault_machine, onset, cfg.seed
+            args.machines, args.fault_machine, onset, args.seed
         ):
             if base.fault is not None:
                 fault = synth.FaultSpec(
@@ -324,11 +301,11 @@ def cmd_synth(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    synth.write_fleet(fleet, windows, cfg.output, args.format)
-    write_effective_config(cfg, cfg.output)
+    write_effective_config(args, args.output)
+    synth.write_fleet(fleet, windows, args.output, args.format)
     print(
         f"wrote {args.machines} machines x {args.segments} segments "
-        f"of {args.segment_len} samples to {cfg.output}"
+        f"of {args.segment_len} samples to {args.output}"
     )
     return 0
 
@@ -354,27 +331,23 @@ def cmd_atom_info(args) -> int:
     return 0
 
 
-def _add_config_flags(sub):
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--seed", type=int, default=None, help="run seed")
-
-
 def _add_common_flags(sub):
     """Flags of the commands that code segments: train and monitor."""
-    _add_config_flags(sub)
-    sub.add_argument("--algo", choices=ALGORITHMS, default=None, help="coder")
-    sub.add_argument("--eta", type=float, default=None, help="learning rate")
-    sub.add_argument("--sparsity", type=float, default=None, help="target sparsity in [0,1)")
-    sub.add_argument("--rms-gate", dest="rms_gate", type=float, default=None,
+    sub.add_argument("--config", action=_ConfigFile, help="flat key=value config file")
+    sub.add_argument("--algo", dest="algorithm", choices=ALGORITHMS, default="mp", help="coder")
+    sub.add_argument("--eta", type=float, default=1e-6, help="learning rate")
+    sub.add_argument("--sparsity", type=float, default=0.9, help="target sparsity in [0,1)")
+    sub.add_argument("--rms-gate", dest="rms_gate", type=float, default=0.5,
                      help="segment RMS gate in G")
-    sub.add_argument("--input", default=None, help="segment directory")
-    sub.add_argument("--output", default=None, help="output directory")
+    sub.add_argument("--input", help="segment directory")
+    sub.add_argument("--output", help="output directory")
     sub.add_argument("--format", choices=sorted(ingest.FORMATS), default="csv",
                      help="segment file format")
     sub.add_argument("--jobs", type=int, default=None,
                      help="worker processes, each running whole machines "
                           "(default: one per usable CPU, at most one per "
                           "machine; 1: run in this process)")
+    sub.add_argument("--atoms", type=int, default=8)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,21 +359,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("train", help="learn a baseline dictionary per machine")
     _add_common_flags(p)
-    p.add_argument("--atoms", type=int, default=None)
-    p.add_argument("--core-len", dest="core_len", type=int, default=None)
-    p.add_argument("--pad", type=int, default=None)
-    p.add_argument("--train-blocks", dest="train_blocks", type=int, default=None)
-    p.add_argument("--block-len", dest="block_len", type=int, default=None)
+    p.add_argument("--core-len", dest="core_len", type=int, default=50)
+    p.add_argument("--pad", type=int, default=10)
+    p.add_argument("--train-blocks", dest="train_blocks", type=int, default=5000)
+    p.add_argument("--block-len", dest="block_len", type=int, default=12800)
+    p.add_argument("--seed", type=int, default=0, help="run seed")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("monitor", help="run monitoring over a segment stream")
     _add_common_flags(p)
-    p.add_argument("--baseline", required=True,
+    p.add_argument("--baseline",
                    help="baseline dictionary file, or directory of <machine>.vdct files")
     p.add_argument("--mode", choices=("propagate", "frozen", "foreign"), default="propagate")
     p.add_argument("--foreign", default=None,
                    help="foreign dictionary file used for coding in foreign mode")
-    p.add_argument("--atoms", type=int, default=None)
     p.add_argument("--dump-codes", dest="dump_codes", action="store_true",
                    help="export one sparse-code CSV per segment")
     p.set_defaults(func=cmd_monitor)
@@ -429,8 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roc)
 
     p = subs.add_parser("synth", help="generate a synthetic fleet with ground-truth labels")
-    _add_config_flags(p)
-    p.add_argument("--output", default=None)
+    p.add_argument("--config", action=_ConfigFile, help="flat key=value config file")
+    p.add_argument("--seed", type=int, default=0, help="run seed")
+    p.add_argument("--output")
     p.add_argument("--format", choices=sorted(ingest.FORMATS), default="csv")
     p.add_argument("--machines", type=int, default=6)
     p.add_argument("--segments", type=int, default=300)
@@ -456,8 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            args = parser.parse_args(argv)  # again, over the defaults the file set
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

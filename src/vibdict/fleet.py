@@ -24,28 +24,23 @@ from . import coding, dictionary, ingest, learning, metrics
 from .errors import ConfigError, DataError
 
 if typing.TYPE_CHECKING:
-    from .cli import RunConfig
+    import argparse
 
 
 @dataclass(frozen=True)
 class MachineTask:
     """One machine's work for ``train_one`` or ``monitor_one``.
 
-    Holds the resolved config and the few flags the workers read. The CLI
-    hands tasks to forked children, which inherit them unpickled, but a
-    task still pickles, so library callers can send it to any worker
-    process, spawned ones included. The fields after ``fmt`` are read by
-    ``monitor_one`` only.
+    ``settings`` holds the resolved flags of ``vibdict train`` or
+    ``vibdict monitor`` (an ``argparse.Namespace``, or any object with the
+    same attributes). The CLI hands tasks to forked children, which
+    inherit them unpickled, but a task still pickles, so library callers
+    can send it to any worker process, spawned ones included.
     """
 
     machine: str
     indir: str
-    cfg: RunConfig
-    fmt: str
-    baseline: str = ""
-    mode: str = "propagate"
-    foreign: str | None = None
-    dump_codes: bool = False
+    settings: argparse.Namespace
 
 
 def machine_seed(base_seed: int, machine: str) -> int:
@@ -55,7 +50,7 @@ def machine_seed(base_seed: int, machine: str) -> int:
 
 
 def coder_configs(
-    cfg: RunConfig,
+    cfg: argparse.Namespace,
 ) -> tuple[coding.CodingConfig, learning.LearnConfig, ingest.SegmentGate]:
     """The coder, learner and RMS gate settings of a run; a bad one raises ConfigError."""
     try:
@@ -79,9 +74,9 @@ def _prepared_segments(indir: str, fmt: str, gate: ingest.SegmentGate):
 
 def train_one(task: MachineTask) -> tuple[float, int]:
     """Train and save one machine's baseline; return (final fidelity dB, growth events)."""
-    cfg, machine = task.cfg, task.machine
+    cfg, machine = task.settings, task.machine
     coding_cfg, learn_cfg, gate = coder_configs(cfg)
-    available, gated, prepared = _prepared_segments(task.indir, task.fmt, gate)
+    available, gated, prepared = _prepared_segments(task.indir, cfg.format, gate)
     usable = [s for s in prepared if len(s) >= cfg.block_len]
     if not usable:
         raise DataError(
@@ -102,36 +97,36 @@ def train_one(task: MachineTask) -> tuple[float, int]:
     return float(result.fidelity_db[-1]), result.growth_events
 
 
-def _load_baseline(path: str, cfg: RunConfig):
+def _load_baseline(path: str, atoms: int):
     base = dictionary.load_dictionary(path)
-    if len(base.atoms) != cfg.atoms:
+    if len(base.atoms) != atoms:
         raise ConfigError(
-            f"baseline {path} has {len(base.atoms)} atoms but config expects {cfg.atoms}"
+            f"baseline {path} has {len(base.atoms)} atoms but config expects {atoms}"
         )
     return base
 
 
-def _baseline_for(machine: str, baseline_path: str, cfg: RunConfig):
+def _baseline_for(machine: str, baseline_path: str, atoms: int):
     if os.path.isdir(baseline_path):
-        return _load_baseline(os.path.join(baseline_path, f"{machine}.vdct"), cfg)
-    return _load_baseline(baseline_path, cfg)
+        return _load_baseline(os.path.join(baseline_path, f"{machine}.vdct"), atoms)
+    return _load_baseline(baseline_path, atoms)
 
 
 def monitor_one(task: MachineTask) -> tuple[int, metrics.HistoryRecord | None]:
     """Monitor one machine and save its outputs; return (records, last record)."""
-    cfg, machine = task.cfg, task.machine
+    cfg, machine = task.settings, task.machine
     coding_cfg, learn_cfg, gate = coder_configs(cfg)
-    if task.mode in ("frozen", "foreign"):
+    if cfg.mode in ("frozen", "foreign"):
         learn_cfg = replace(learn_cfg, eta=0.0)
-    own = _baseline_for(machine, task.baseline, cfg)
-    live = _load_baseline(task.foreign, cfg) if task.mode == "foreign" else own
-    _, _, prepared = _prepared_segments(task.indir, task.fmt, gate)
+    own = _baseline_for(machine, cfg.baseline, cfg.atoms)
+    live = _load_baseline(cfg.foreign, cfg.atoms) if cfg.mode == "foreign" else own
+    _, _, prepared = _prepared_segments(task.indir, cfg.format, gate)
     for before, after in zip(prepared, prepared[1:]):
         if before.timestamp == after.timestamp:
             raise DataError(f"{task.indir}: two segments at timestamp {after.timestamp}; "
                             f"monitor needs one segment per timestamp")
     codes_dir = os.path.join(cfg.output, f"{machine}_codes")
-    if task.dump_codes:
+    if cfg.dump_codes:
         os.makedirs(codes_dir, exist_ok=True)
     final, records = live, []
     for state, record, code in learning.monitor_segments(
@@ -139,7 +134,7 @@ def monitor_one(task: MachineTask) -> tuple[int, metrics.HistoryRecord | None]:
     ):
         final = state.dictionary
         records.append(record)
-        if task.dump_codes:
+        if cfg.dump_codes:
             coding.save_code_csv(code, os.path.join(codes_dir, f"{record.timestamp}.csv"))
     metrics.save_history_csv(records, os.path.join(cfg.output, f"{machine}_history.csv"))
     dictionary.save_dictionary(final, os.path.join(cfg.output, f"{machine}_final.vdct"))
@@ -171,7 +166,7 @@ def run_per_machine(worker, tasks: list[MachineTask], jobs: int | None) -> list:
     workers = min(_usable_cpus() if jobs is None else jobs, len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
         return [worker(task) for task in tasks]
-    if any(task.cfg.algorithm == coding.OMP for task in tasks):
+    if any(task.settings.algorithm == coding.OMP for task in tasks):
         from . import omp_kernel
 
         omp_kernel.fast_forward()  # built and checked once here; every child inherits it

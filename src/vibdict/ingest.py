@@ -205,6 +205,14 @@ def read_table(path: str, header: str, parse) -> tuple[list, dict]:
     return rows, meta
 
 
+def _check_text(path: str, pairs, separators: str) -> None:
+    """Raise ValueError naming the first (name, value) pair whose value holds a separator."""
+    for name, value in pairs:
+        for sep in separators:
+            if sep in str(value):
+                raise ValueError(f"cannot write {name}={value!r} to {path}: it holds {sep!r}")
+
+
 def write_table(path: str, header: str, rows, comments=(), footer=()) -> None:
     """Write a comma-separated text table that :func:`read_table` reads back.
 
@@ -212,16 +220,32 @@ def write_table(path: str, header: str, rows, comments=(), footer=()) -> None:
     ``# key=value`` lines before the header and after the rows. Every
     field is written as ``str`` writes it, so pass Python ints, floats and
     strings: a float is then written as its shortest round-trip ``repr``.
+    The reader splits lines at ``\\n`` or ``\\r`` and fields at ``,``, so a
+    field holding one, or a comment or footer value holding a line break,
+    raises ValueError before the file is opened.
     """
+    comments, footer, rows = list(comments), list(footer), list(rows)
+    _check_text(path, comments + footer, "\n\r")
+    body = "".join([",".join(map(str, row)) + "\n" for row in rows])
+    # Only a field's own separators make these counts differ.
+    if (body.count(",") != sum(map(len, rows)) - len(rows)
+            or body.count("\n") != len(rows) or "\r" in body):
+        for row in rows:
+            _check_text(path, zip(header.split(","), row), ",\n\r")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"# {key}={value}\n" for key, value in comments)
         fh.write(f"{header}\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        fh.write(body)
         fh.writelines(f"# {key}={value}\n" for key, value in footer)
 
 
 def write_key_values(path: str, items) -> None:
-    """Write (key, value) pairs as the ``key=value`` lines :func:`read_key_values` reads."""
+    """Write (key, value) pairs as the ``key=value`` lines :func:`read_key_values` reads.
+
+    A value holding a line break raises ValueError before the file is opened.
+    """
+    items = list(items)
+    _check_text(path, items, "\n\r")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{key}={value}\n" for key, value in items)
 
@@ -285,6 +309,7 @@ def load_segments(path: str, format: str = "csv") -> list[SignalSegment]:
 def save_segment_csv(segment: SignalSegment, path: str) -> None:
     """Write one segment in the CSV format read by :func:`load_segments`."""
     header = (segment.timestamp, float(segment.sample_rate), segment.source_id)
+    _check_text(path, zip(SEGMENT_HEADER.split(","), header), ",\n\r")
     write_table(path, ",".join(map(str, header)), ((x,) for x in segment.samples.tolist()))
 
 
@@ -292,9 +317,9 @@ def save_segment_raw(segment: SignalSegment, path: str, format: str = "raw_f64le
     """Write one segment as raw little-endian floats plus a ``.meta`` sidecar."""
     if format not in RAW_DTYPES:
         raise ValueError(f"unknown raw format {format!r}")
-    segment.samples.astype(RAW_DTYPES[format]).tofile(path)
     header = (segment.timestamp, float(segment.sample_rate), segment.source_id)
     write_key_values(path + ".meta", zip(SEGMENT_HEADER.split(","), header))
+    segment.samples.astype(RAW_DTYPES[format]).tofile(path)
 
 
 def gate_by_rms(segments: list[SignalSegment], gate: SegmentGate) -> list[SignalSegment]:

@@ -210,7 +210,7 @@ class TestMonitor:
         args = [
             "monitor", "--input", indir, "--baseline", baseline,
             "--output", outdir, "--mode", mode,
-            "--atoms", 2, "--eta", "1e-3", "--seed", 11,
+            "--atoms", 2, "--eta", "1e-3",
         ]
         for key, value in extra.items():
             args.extend([f"--{key.replace('_', '-')}", value])
@@ -239,7 +239,7 @@ class TestMonitor:
     def test_outputs_match_library_loop(self, small_fleet, baseline, tmp_path):
         out = tmp_path / "mon"
         assert run(*self.monitor_args(small_fleet, baseline, out), "--dump-codes") == 0
-        cfg = cli.RunConfig()
+        cfg = cli.build_parser().parse_args(["monitor"])
         lib = tmp_path / "lib"
         lib.mkdir()
         for machine in ("m00", "m01"):
@@ -312,10 +312,10 @@ class TestMonitor:
     def test_machine_task_pickles_for_any_start_method(self, small_fleet, baseline, tmp_path):
         def task(output):
             (tmp_path / output).mkdir()
-            cfg = cli.RunConfig(atoms=2, eta=1e-3, seed=11, input=str(small_fleet),
-                                output=str(tmp_path / output))
-            return fleet.MachineTask("m00", str(small_fleet / "m00"), cfg, "csv",
-                                     str(baseline), "propagate", None, False)
+            settings = cli.build_parser().parse_args([
+                "monitor", "--atoms", "2", "--eta", "1e-3", "--input", str(small_fleet),
+                "--output", str(tmp_path / output), "--baseline", str(baseline)])
+            return fleet.MachineTask("m00", str(small_fleet / "m00"), settings)
 
         serial, spawned = task("serial"), task("spawned")
         assert pickle.loads(pickle.dumps(serial)) == serial
@@ -390,8 +390,7 @@ class TestDefaultJobs:
     def pipeline_outputs(self, fleet, out, jobs):
         assert run(*train_args(fleet, out / "base"), *jobs) == 0
         assert run("monitor", "--input", fleet, "--baseline", out / "base",
-                   "--output", out / "mon", "--atoms", 2, "--eta", "1e-3",
-                   "--seed", 11, *jobs) == 0
+                   "--output", out / "mon", "--atoms", 2, "--eta", "1e-3", *jobs) == 0
         return {
             str(path.relative_to(out)): path.read_bytes()
             for path in sorted(out.rglob("*"))
@@ -466,7 +465,8 @@ class NeedsTwoArguments(Exception):
 
 
 def fleet_tasks(*machines):
-    return [fleet.MachineTask(machine, "", cli.RunConfig(), "csv") for machine in machines]
+    settings = cli.build_parser().parse_args(["train"])
+    return [fleet.MachineTask(machine, "", settings) for machine in machines]
 
 
 class TestForkedWorkers:
@@ -648,7 +648,7 @@ class TestIndicatorsAndRoc:
         args = [
             "monitor", "--input", str(small_fleet), "--baseline", str(base),
             "--output", str(out), "--mode", "propagate",
-            "--atoms", "2", "--eta", "1e-2", "--seed", "11",
+            "--atoms", "2", "--eta", "1e-2",
         ]
         assert cli.main(args) == 0
         return out
@@ -797,6 +797,76 @@ class TestConfigHandling:
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text, lineno, key", [
+        ("synth", "seed = 3\neta = nan\n", 2, "eta"),
+        ("synth", "algorithm = lasso\n", 1, "algorithm"),
+        ("monitor", "atoms = 2\n\ncore_len = 12\n", 3, "core_len"),
+        ("monitor", "seed = 11\n", 1, "seed"),
+    ], ids=["synth-eta", "synth-algorithm", "monitor-core_len", "monitor-seed"])
+    def test_key_of_another_command_rejected(self, tmp_path, capsys, command, text, lineno,
+                                             key):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        out = tmp_path / "out"
+        paths = [] if command == "synth" else ["--input", tmp_path, "--baseline", tmp_path]
+        assert run(command, "--config", config, *paths, "--output", out) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: {config}:{lineno}: unknown config key {key!r}\n")
+        assert not out.exists()
+
+    def test_path_holding_line_break_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("train", "--input", "in\ndir", "--output", out) == 2
+        assert capsys.readouterr() == ("", "config error: cannot write input='in\\ndir' to "
+                                           f"{out}/effective_config.txt: it holds '\\n'\n")
+        assert list(out.iterdir()) == []
+
+    def test_monitor_takes_no_seed_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("monitor", "--input", tmp_path, "--baseline", tmp_path,
+                "--output", tmp_path / "out", "--seed", 1)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("dump_codes = yes\n", "{config}:1: bad value for dump_codes: 'yes'"),
+        ("dump_codes = 1\n", "{config}:1: bad value for dump_codes: '1'"),
+        ("atoms = 2.0\n", "{config}:1: bad value for atoms: '2.0'"),
+        ("mode = Frozen\n", "mode must be one of ('propagate', 'frozen', 'foreign'), "
+                             "got 'Frozen'"),
+        ("format = bin\n", "format must be one of ('csv', 'raw_f32le', 'raw_f64le'), "
+                            "got 'bin'"),
+        ("", "monitor requires --input, --output and --baseline"),
+    ], ids=["bool-word", "bool-digit", "int-float", "mode-choice", "format-choice",
+            "no-baseline"])
+    def test_monitor_config_value_rejected(self, tmp_path, capsys, text, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        out = tmp_path / "out"
+        baseline = [] if not text else ["--baseline", tmp_path]
+        assert run("monitor", "--config", config, "--input", tmp_path, *baseline,
+                   "--output", out) == 2
+        assert capsys.readouterr() == ("", f"config error: {message.format(config=config)}\n")
+        assert not out.exists()
+
+    def test_boolean_key_reads_back(self, small_fleet, tmp_path):
+        base = tmp_path / "base"
+        assert run(*train_args(small_fleet, base)) == 0
+        config = tmp_path / "run.cfg"
+        config.write_text(f"dump_codes = True\nbaseline = {base}\natoms = 2\n")
+        assert run("monitor", "--config", config, "--input", small_fleet,
+                   "--output", tmp_path / "on") == 0
+        assert len(list((tmp_path / "on" / "m00_codes").iterdir())) == 6
+        config.write_text(f"dump_codes = False\nbaseline = {base}\natoms = 2\n")
+        assert run("monitor", "--config", config, "--input", small_fleet, "--dump-codes",
+                   "--output", tmp_path / "flag") == 0
+        assert (tmp_path / "flag" / "m00_codes").is_dir()  # the flag wins over the file
+        assert run("monitor", "--config", config, "--input", small_fleet,
+                   "--output", tmp_path / "off") == 0
+        assert not (tmp_path / "off" / "m00_codes").exists()
+        assert "dump_codes=False\n" in (tmp_path / "off" / "effective_config.txt").read_text()
+
     def test_invalid_flag_value_rejected(self, tmp_path, capsys):
         code = run("train", "--input", tmp_path, "--output", tmp_path / "o",
                    "--sparsity", "1.5")
@@ -820,6 +890,93 @@ class TestConfigHandling:
         monkeypatch.setattr(cli, "cmd_distance", boom)
         assert cli.main(["distance", "a", "b"]) == 4
         assert "numeric" in capsys.readouterr().err
+
+
+def replay_tree(root):
+    """Every file under ``root`` by relative path; the record without its output= line."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "effective_config.txt":
+                data = b"".join(line for line in data.splitlines(keepends=True)
+                                if not line.startswith(b"output="))
+            files[str(path.relative_to(root))] = data
+    return files
+
+
+TRAIN_KEYS = {"algorithm", "atoms", "block_len", "core_len", "eta", "format", "input", "output",
+              "pad", "rms_gate", "seed", "sparsity", "train_blocks"}
+MONITOR_KEYS = {"algorithm", "atoms", "baseline", "dump_codes", "eta", "format", "input", "mode",
+                "output", "rms_gate", "sparsity"}
+SYNTH_KEYS = {"cadence", "fault_machine", "fault_onset_segment", "format", "impulse_amp",
+              "impulse_decay", "impulse_period", "machines", "output", "seed", "segment_len",
+              "segments", "start_time"}
+
+
+class TestReplay:
+    """``<command> --config <out>/effective_config.txt --output <out2>`` repeats the run."""
+
+    @pytest.fixture()
+    def raw_fleet(self, tmp_path):
+        out = tmp_path / "raw"
+        assert run("synth", "--output", out, "--format", "raw_f32le", "--machines", 2,
+                   "--segments", 6, "--segment-len", 512, "--fault-machine", 1,
+                   "--fault-onset-segment", 3, "--seed", 11) == 0
+        return out
+
+    def replay(self, tmp_path, argv, keys):
+        """Run ``argv`` into ``first``, replay its record into ``second``; return both trees."""
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(*argv, "--output", first) == 0
+        record = [line.partition("=")[0]
+                  for line in (first / "effective_config.txt").read_text().splitlines()]
+        assert record == sorted(keys)
+        assert run(argv[0], "--config", first / "effective_config.txt", "--output", second) == 0
+        return replay_tree(first), replay_tree(second)
+
+    @pytest.mark.parametrize("fmt", ["csv", "raw_f32le"])
+    def test_synth(self, tmp_path, fmt):
+        argv = ["synth", "--format", fmt, "--machines", 3, "--segments", 5, "--segment-len", 300,
+                "--cadence", 600, "--start-time", 7, "--fault-machine", 2,
+                "--fault-onset-segment", 2, "--impulse-period", 31, "--impulse-amp", "0.1",
+                "--impulse-decay", "0.3", "--seed", 4]
+        first, second = self.replay(tmp_path, argv, SYNTH_KEYS)
+        assert first == second
+        assert len(first) == 1 + 1 + 3 * 5 * (1 if fmt == "csv" else 2)
+
+    @pytest.mark.parametrize("algo, fleet_name, fmt", [("mp", "small_fleet", "csv"),
+                                                       ("omp", "raw_fleet", "raw_f32le")])
+    def test_train(self, request, tmp_path, algo, fleet_name, fmt):
+        fleet_dir = request.getfixturevalue(fleet_name)
+        argv = ["train", "--input", fleet_dir, "--train-blocks", 10, "--block-len", 128,
+                "--atoms", 2, "--core-len", 12, "--pad", 3, "--eta", "1e-3", "--seed", 11,
+                "--algo", algo, "--format", fmt, "--sparsity", "0.7", "--rms-gate", "0.25",
+                "--jobs", 1]
+        first, second = self.replay(tmp_path, argv, TRAIN_KEYS | {"jobs"})
+        assert first == second
+        assert {"m00.vdct", "m01.vdct", "m00_train_log.csv"} <= set(first)
+
+    @pytest.mark.parametrize("mode, extra, keys", [
+        ("propagate", [], set()),
+        ("frozen", [], set()),
+        ("foreign", ["--foreign", "m01.vdct"], {"foreign"}),
+        ("propagate", ["--dump-codes", "--jobs", 1], {"jobs"}),
+    ], ids=["propagate", "frozen", "foreign", "dump-codes"])
+    def test_monitor(self, small_fleet, tmp_path, mode, extra, keys):
+        base = tmp_path / "base"
+        assert run(*train_args(small_fleet, base)) == 0
+        extra = [str(base / a) if a == "m01.vdct" else a for a in extra]
+        argv = ["monitor", "--input", small_fleet, "--baseline", base / "m00.vdct",
+                "--mode", mode, "--atoms", 2, "--eta", "1e-3", "--rms-gate", 0, *extra]
+        first, second = self.replay(tmp_path, argv, MONITOR_KEYS | keys)
+        assert first == second
+        assert {"m00_history.csv", "m01_final.vdct"} <= set(first)
+        if "--dump-codes" in extra:
+            assert len([name for name in first if name.startswith("m01_codes")]) == 6
+        record = (tmp_path / "first" / "effective_config.txt").read_text()
+        assert f"mode={mode}\n" in record
+        assert f"dump_codes={'--dump-codes' in extra}\n" in record
 
 
 class TestNonFiniteFlags:
@@ -1161,3 +1318,13 @@ class TestSynthCommand:
         code = run("synth", "--output", tmp_path / "f", "--machines", 2,
                    "--fault-machine", 7)
         assert code == 2
+
+    @pytest.mark.parametrize("value", [-2, -7])
+    def test_fault_machine_below_minus_one(self, tmp_path, capsys, value):
+        capsys.readouterr()
+        code = run("synth", "--output", tmp_path / "f", "--machines", 2,
+                   "--fault-machine", value)
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"config error: --fault-machine must be >= -1 (-1 for none), got {value}\n")
+        assert not (tmp_path / "f").exists()

@@ -15,6 +15,8 @@ from vibdict.ingest import (
     sample_blocks,
     save_segment_csv,
     save_segment_raw,
+    write_key_values,
+    write_table,
 )
 
 from oracles import naive_rms
@@ -399,7 +401,7 @@ def _write_train_log(tmp_path, monkeypatch):
     from types import SimpleNamespace
 
     from vibdict import fleet, learning
-    from vibdict.cli import RunConfig
+    from vibdict.cli import build_parser
     from vibdict.dictionary import init_pseudorandom
 
     indir = tmp_path / "m00"
@@ -408,17 +410,19 @@ def _write_train_log(tmp_path, monkeypatch):
     result = SimpleNamespace(dictionary=init_pseudorandom(1, 2, 0, 0),
                              fidelity_db=np.array(AWKWARD), growth_events=0)
     monkeypatch.setattr(learning, "train_baseline", lambda *args: result)
-    cfg = RunConfig(atoms=1, core_len=2, pad=0, train_blocks=1, block_len=4, rms_gate=0.0,
-                    output=str(tmp_path))
-    fleet.train_one(fleet.MachineTask("m00", str(indir), cfg, "csv"))
+    settings = build_parser().parse_args([
+        "train", "--atoms", "1", "--core-len", "2", "--pad", "0", "--train-blocks", "1",
+        "--block-len", "4", "--rms-gate", "0.0", "--output", str(tmp_path)])
+    fleet.train_one(fleet.MachineTask("m00", str(indir), settings))
     return tmp_path / "m00_train_log.csv"
 
 
 def _write_effective_config(tmp_path):
-    from vibdict.cli import RunConfig, write_effective_config
+    from vibdict.cli import build_parser, write_effective_config
 
-    cfg = RunConfig(sparsity=0.1 + 0.2, eta=1e-05, rms_gate=-0.0, input="in dir", output="out")
-    write_effective_config(cfg, str(tmp_path))
+    args = build_parser().parse_args(["train", "--input", "in dir", "--output", "out"])
+    args.sparsity, args.eta, args.rms_gate = 0.1 + 0.2, 1e-05, -0.0
+    write_effective_config(args, str(tmp_path))
     return tmp_path / "effective_config.txt"
 
 
@@ -464,9 +468,9 @@ class TestTextWriters:
         (_write_train_log,
          "block,fidelity_db\n" + "".join(f"{k},{v}\n" for k, v in enumerate(AWKWARD_TEXT))),
         (lambda p, mp: _write_effective_config(p),
-         "algorithm=mp\natoms=8\nblock_len=12800\ncore_len=50\neta=1e-05\ninput=in dir\n"
-         "output=out\npad=10\nrms_gate=-0.0\nseed=0\nsparsity=0.30000000000000004\n"
-         "train_blocks=5000\n"),
+         "algorithm=mp\natoms=8\nblock_len=12800\ncore_len=50\neta=1e-05\nformat=csv\n"
+         "input=in dir\noutput=out\npad=10\nrms_gate=-0.0\nseed=0\n"
+         "sparsity=0.30000000000000004\ntrain_blocks=5000\n"),
         (lambda p, mp: _write_segment_csv(p),
          "-7,1e+16,m 00\n" + "".join(f"{v}\n" for v in AWKWARD_TEXT)),
         (lambda p, mp: _write_meta(p),
@@ -477,3 +481,37 @@ class TestTextWriters:
     def test_bytes(self, tmp_path, monkeypatch, write, text):
         path = write(tmp_path, monkeypatch)
         assert path.read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("write, name, value, separator", [
+        (lambda p: save_segment_csv(make_segment([1.0], source="m,00"), str(p)),
+         "source_id", "m,00", ","),
+        (lambda p: save_segment_csv(make_segment([1.0], source="m\n00"), str(p)),
+         "source_id", "m\n00", "\n"),
+        (lambda p: save_segment_raw(make_segment([1.0], source="m\r00"), str(p)),
+         "source_id", "m\r00", "\r"),
+        (lambda p: _save_labels(p, "m,01"), "machine_id", "m,01", ","),
+        (lambda p: write_table(str(p), "a,b", [(1, 2.0), (3, "x\ny")]), "b", "x\ny", "\n"),
+        (lambda p: write_table(str(p), "a", [(1,)], comments=[("note", "one\ntwo")]),
+         "note", "one\ntwo", "\n"),
+        (lambda p: write_table(str(p), "a", [(1,)], footer=[("auc", "0.5\r")]),
+         "auc", "0.5\r", "\r"),
+        (lambda p: write_key_values(str(p), [("seed", 1), ("input", "in\ndir")]),
+         "input", "in\ndir", "\n"),
+    ], ids=["segment-comma", "segment-newline", "meta-return", "labels-comma", "row-newline",
+            "comment-newline", "footer-return", "key-value-newline"])
+    def test_value_that_would_not_read_back_rejected_before_open(self, tmp_path, write, name,
+                                                                  value, separator):
+        path = tmp_path / "out"
+        with pytest.raises(ValueError) as exc:
+            write(path)
+        target = f"{path}.meta" if name == "source_id" and separator == "\r" else str(path)
+        assert str(exc.value) == (
+            f"cannot write {name}={value!r} to {target}: it holds {separator!r}")
+        assert list(tmp_path.iterdir()) == []
+
+
+def _save_labels(path, machine):
+    from vibdict.detect import LabeledWindow, save_labels_csv
+
+    save_labels_csv([LabeledWindow("m00", 0, 10, "healthy"),
+                     LabeledWindow(machine, 0, 10, "faulty")], str(path))
