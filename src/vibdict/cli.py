@@ -146,6 +146,8 @@ def cmd_monitor(args) -> int:
         raise ConfigError("monitor requires --input, --output and --baseline")
     if args.mode == "foreign" and not args.foreign:
         raise ConfigError("--mode foreign requires --foreign DICT")
+    if args.mode != "foreign" and args.foreign is not None:
+        raise ConfigError(f"--foreign is read only by --mode foreign, got --mode {args.mode}")
     fleet.coder_configs(args)
     write_effective_config(args, args.output)
     machines = _machine_dirs(args.input)

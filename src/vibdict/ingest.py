@@ -220,18 +220,24 @@ def write_table(path: str, header: str, rows, comments=(), footer=()) -> None:
     ``# key=value`` lines before the header and after the rows. Every
     field is written as ``str`` writes it, so pass Python ints, floats and
     strings: a float is then written as its shortest round-trip ``repr``.
-    The reader splits lines at ``\\n`` or ``\\r`` and fields at ``,``, so a
-    field holding one, or a comment or footer value holding a line break,
+    The reader splits lines at ``\\n`` or ``\\r`` and fields at ``,``, and
+    takes a ``#`` line for a comment, so a field holding a separator, a row
+    starting with ``#``, or a comment or footer value holding a line break,
     raises ValueError before the file is opened.
     """
     comments, footer, rows = list(comments), list(footer), list(rows)
     _check_text(path, comments + footer, "\n\r")
     body = "".join([",".join(map(str, row)) + "\n" for row in rows])
-    # Only a field's own separators make these counts differ.
+    # Only a field's own separators, or a leading '#', make these differ.
     if (body.count(",") != sum(map(len, rows)) - len(rows)
-            or body.count("\n") != len(rows) or "\r" in body):
+            or body.count("\n") != len(rows) or "\r" in body
+            or body.startswith("#") or "\n#" in body):
+        names = header.split(",")
         for row in rows:
-            _check_text(path, zip(header.split(","), row), ",\n\r")
+            _check_text(path, zip(names, row), ",\n\r")
+            if row and str(row[0]).startswith("#"):
+                raise ValueError(f"cannot write {names[0]}={row[0]!r} to {path}: "
+                                 f"it starts with '#'")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"# {key}={value}\n" for key, value in comments)
         fh.write(f"{header}\n")
@@ -242,10 +248,15 @@ def write_table(path: str, header: str, rows, comments=(), footer=()) -> None:
 def write_key_values(path: str, items) -> None:
     """Write (key, value) pairs as the ``key=value`` lines :func:`read_key_values` reads.
 
-    A value holding a line break raises ValueError before the file is opened.
+    A value holding a line break, or with leading or trailing whitespace,
+    which the reader strips, raises ValueError before the file is opened.
     """
     items = list(items)
     _check_text(path, items, "\n\r")
+    for key, value in items:
+        if str(value) != str(value).strip():
+            raise ValueError(f"cannot write {key}={value!r} to {path}: it starts or ends "
+                             f"with whitespace")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{key}={value}\n" for key, value in items)
 

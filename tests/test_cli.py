@@ -65,6 +65,32 @@ def small_fleet(tmp_path):
     return out
 
 
+@pytest.fixture()
+def forked_pids(monkeypatch):
+    """The pids of the children that ``os.fork`` starts during the test."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    """No child is left running, or exited but unreaped.
+
+    ``os.waitpid(-1, ...)`` cannot check this within the test session: the
+    resource tracker of a spawned pool in another test stays a child of it.
+    """
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def train_args(indir, outdir, **extra):
     args = [
         "train", "--input", indir, "--output", outdir,
@@ -387,32 +413,44 @@ class TestMonitor:
 class TestDefaultJobs:
     """Without --jobs, machines fan out over min(usable CPUs, machines) workers."""
 
-    def pipeline_outputs(self, fleet, out, jobs):
-        assert run(*train_args(fleet, out / "base"), *jobs) == 0
+    def pipeline_outputs(self, fleet, out, coder, jobs):
+        assert run(*train_args(fleet, out / "base"), *coder, *jobs) == 0
         assert run("monitor", "--input", fleet, "--baseline", out / "base",
-                   "--output", out / "mon", "--atoms", 2, "--eta", "1e-3", *jobs) == 0
+                   "--output", out / "mon", "--atoms", 2, "--eta", "1e-3", *coder, *jobs) == 0
         return {
             str(path.relative_to(out)): path.read_bytes()
             for path in sorted(out.rglob("*"))
             if path.is_file() and path.name != "effective_config.txt"
         }
 
-    def test_default_matches_in_process_bytewise(self, small_fleet, tmp_path, capsys,
-                                                 monkeypatch):
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", 2]], ids=["default", "jobs2"])
+    @pytest.mark.parametrize("algo, fmt", [("mp", "csv"), ("omp", "raw_f32le")])
+    def test_default_matches_in_process_bytewise(self, tmp_path, capsys, monkeypatch,
+                                                 forked_pids, algo, fmt, jobs):
+        # Three machines over two workers, so the third reuses a worker slot.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        serial = self.pipeline_outputs(small_fleet, tmp_path / "serial", ["--jobs", 1])
+        fleet = tmp_path / "fleet"
+        assert run("synth", "--output", fleet, "--format", fmt, "--machines", 3,
+                   "--segments", 6, "--segment-len", 512, "--fault-machine", 1,
+                   "--fault-onset-segment", 3, "--seed", 11) == 0
+        coder = ["--algo", algo, "--format", fmt]
+        capsys.readouterr()
+        serial = self.pipeline_outputs(fleet, tmp_path / "serial", coder, ["--jobs", 1])
         serial_out = capsys.readouterr().out
-        pooled = self.pipeline_outputs(small_fleet, tmp_path / "pooled", [])
+        assert forked_pids == []
+        forked = self.pipeline_outputs(fleet, tmp_path / "forked", coder, jobs)
         assert capsys.readouterr().out == serial_out
-        assert serial_out.count("trained 2 atoms") == 2
-        assert serial_out.count("6 segments") == 2
+        assert serial_out.count("trained 2 atoms") == 3
+        assert serial_out.count("6 segments") == 3
         assert set(serial) == {
             f"{stage}/{machine}{suffix}"
-            for machine in ("m00", "m01")
+            for machine in ("m00", "m01", "m02")
             for stage, suffix in [("base", ".vdct"), ("base", "_train_log.csv"),
                                   ("mon", "_history.csv"), ("mon", "_final.vdct")]
         }
-        assert pooled == serial
+        assert forked == serial
+        assert len(forked_pids) == 6  # one child per machine and stage
+        assert_reaped(forked_pids)
 
     @pytest.fixture()
     def pools(self, monkeypatch):
@@ -472,28 +510,41 @@ def fleet_tasks(*machines):
 class TestForkedWorkers:
     """Each machine runs in a forked child; outcomes come back over its pipe."""
 
+    @pytest.mark.parametrize("algo, fmt", [("mp", "csv"), ("omp", "raw_f32le")])
     def test_corrupt_segment_in_later_machine_matches_serial(self, tmp_path, capsys,
-                                                              monkeypatch):
+                                                              monkeypatch, forked_pids,
+                                                              algo, fmt):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         fleet = tmp_path / "fleet"
-        assert run("synth", "--output", fleet, "--machines", 3, "--segments", 6,
-                   "--segment-len", 512, "--fault-machine", -1, "--seed", 11) == 0
-        path = sorted((fleet / "m01").glob("*.csv"))[2]
-        lines = path.read_text().splitlines()
-        lines[10] = "nan"
-        path.write_text("\n".join(lines) + "\n")
+        assert run("synth", "--output", fleet, "--format", fmt, "--machines", 3,
+                   "--segments", 6, "--segment-len", 512, "--fault-machine", -1,
+                   "--seed", 11) == 0
+        if fmt == "csv":
+            path = sorted((fleet / "m01").glob("*.csv"))[2]
+            lines = path.read_text().splitlines()
+            lines[10] = "nan"
+            path.write_text("\n".join(lines) + "\n")
+            where = "line 11"
+        else:
+            path = sorted((fleet / "m01").glob("*.bin"))[2]
+            samples = np.fromfile(path, "<f4")
+            samples[10] = np.nan
+            samples.tofile(path)
+            where = "index 10"
         capsys.readouterr()
         outcomes = {}
         for name, jobs in [("forked", []), ("serial", ["--jobs", 1])]:
-            code = run(*train_args(fleet, tmp_path / name), *jobs)
+            code = run(*train_args(fleet, tmp_path / name, algo=algo, format=fmt), *jobs)
             outcomes[name] = (code, capsys.readouterr())
         assert outcomes["forked"] == outcomes["serial"]
         code, (out, err) = outcomes["forked"]
         assert (code, out) == (3, "")
-        assert err.startswith(f"data error: {path}:") and "non-finite sample" in err
+        assert err.startswith(f"data error: {path}: non-finite sample nan at {where} ")
         # Every machine ran in the fan-out; the serial run stopped at m01.
         assert {p.name for p in (tmp_path / "forked").glob("*.vdct")} == {"m00.vdct", "m02.vdct"}
         assert {p.name for p in (tmp_path / "serial").glob("*.vdct")} == {"m00.vdct"}
+        assert len(forked_pids) == 3
+        assert_reaped(forked_pids)
 
     def test_killed_worker_names_machine_and_leaves_no_child(self, small_fleet, tmp_path):
         (small_fleet / "m02").symlink_to(small_fleet / "m00", target_is_directory=True)
@@ -814,11 +865,17 @@ class TestConfigHandling:
             "", f"config error: {config}:{lineno}: unknown config key {key!r}\n")
         assert not out.exists()
 
-    def test_path_holding_line_break_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("path, reason", [
+        ("in\ndir", "it holds '\\n'"),
+        # read_key_values strips each value, so the replay would read 'fl'.
+        ("fl ", "it starts or ends with whitespace"),
+        (" fl", "it starts or ends with whitespace"),
+    ], ids=["line-break", "trailing-blank", "leading-blank"])
+    def test_path_that_would_not_replay_rejected(self, tmp_path, capsys, path, reason):
         out = tmp_path / "out"
-        assert run("train", "--input", "in\ndir", "--output", out) == 2
-        assert capsys.readouterr() == ("", "config error: cannot write input='in\\ndir' to "
-                                           f"{out}/effective_config.txt: it holds '\\n'\n")
+        assert run("train", "--input", path, "--output", out) == 2
+        assert capsys.readouterr() == ("", f"config error: cannot write input={path!r} to "
+                                           f"{out}/effective_config.txt: {reason}\n")
         assert list(out.iterdir()) == []
 
     def test_monitor_takes_no_seed_flag(self, tmp_path, capsys):
@@ -957,18 +1014,20 @@ class TestReplay:
         assert first == second
         assert {"m00.vdct", "m01.vdct", "m00_train_log.csv"} <= set(first)
 
-    @pytest.mark.parametrize("mode, extra, keys", [
-        ("propagate", [], set()),
-        ("frozen", [], set()),
-        ("foreign", ["--foreign", "m01.vdct"], {"foreign"}),
-        ("propagate", ["--dump-codes", "--jobs", 1], {"jobs"}),
-    ], ids=["propagate", "frozen", "foreign", "dump-codes"])
-    def test_monitor(self, small_fleet, tmp_path, mode, extra, keys):
+    @pytest.mark.parametrize("mode, coder, extra, keys", [
+        ("propagate", [], [], set()),
+        ("frozen", [], [], set()),
+        ("foreign", [], ["--foreign", "m01.vdct"], {"foreign"}),
+        ("propagate", [], ["--dump-codes", "--jobs", 1], {"jobs"}),
+        ("propagate", ["--algo", "omp", "--format", "raw_f32le"], ["--dump-codes"], set()),
+    ], ids=["propagate", "frozen", "foreign", "dump-codes", "omp-raw-dump-codes"])
+    def test_monitor(self, request, tmp_path, mode, coder, extra, keys):
+        fleet_dir = request.getfixturevalue("raw_fleet" if coder else "small_fleet")
         base = tmp_path / "base"
-        assert run(*train_args(small_fleet, base)) == 0
+        assert run(*train_args(fleet_dir, base), *coder) == 0
         extra = [str(base / a) if a == "m01.vdct" else a for a in extra]
-        argv = ["monitor", "--input", small_fleet, "--baseline", base / "m00.vdct",
-                "--mode", mode, "--atoms", 2, "--eta", "1e-3", "--rms-gate", 0, *extra]
+        argv = ["monitor", "--input", fleet_dir, "--baseline", base / "m00.vdct",
+                "--mode", mode, "--atoms", 2, "--eta", "1e-3", "--rms-gate", 0, *coder, *extra]
         first, second = self.replay(tmp_path, argv, MONITOR_KEYS | keys)
         assert first == second
         assert {"m00_history.csv", "m01_final.vdct"} <= set(first)
@@ -1070,6 +1129,9 @@ class TestFlagErrors:
         (["--eta", "inf", "--mode", "frozen"], "eta must be finite and >= 0, got inf"),
         (["--sparsity", "-0.1"], "sparsity must be in [0, 1), got -0.1"),
         (["--config", "lasso.cfg"], "algorithm must be one of ('mp', 'omp'), got 'lasso'"),
+        # Only foreign mode reads --foreign, so the record would claim an unused setting.
+        (["--foreign", "base.vdct"], "--foreign is read only by --mode foreign, "
+                                     "got --mode propagate"),
     ])
     def test_monitor(self, small_fleet, tmp_path, monkeypatch, capsys, extra, message):
         monkeypatch.chdir(tmp_path)

@@ -482,31 +482,38 @@ class TestTextWriters:
         path = write(tmp_path, monkeypatch)
         assert path.read_bytes() == text.encode("utf-8")
 
-    @pytest.mark.parametrize("write, name, value, separator", [
+    @pytest.mark.parametrize("write, name, value, reason", [
         (lambda p: save_segment_csv(make_segment([1.0], source="m,00"), str(p)),
-         "source_id", "m,00", ","),
+         "source_id", "m,00", "it holds ','"),
         (lambda p: save_segment_csv(make_segment([1.0], source="m\n00"), str(p)),
-         "source_id", "m\n00", "\n"),
+         "source_id", "m\n00", "it holds '\\n'"),
         (lambda p: save_segment_raw(make_segment([1.0], source="m\r00"), str(p)),
-         "source_id", "m\r00", "\r"),
-        (lambda p: _save_labels(p, "m,01"), "machine_id", "m,01", ","),
-        (lambda p: write_table(str(p), "a,b", [(1, 2.0), (3, "x\ny")]), "b", "x\ny", "\n"),
+         "source_id", "m\r00", "it holds '\\r'"),
+        (lambda p: _save_labels(p, "m,01"), "machine_id", "m,01", "it holds ','"),
+        # The reader would take this row for a comment and drop the window.
+        (lambda p: _save_labels(p, "#m01"), "machine_id", "#m01", "it starts with '#'"),
+        (lambda p: write_table(str(p), "a,b", [(1, 2.0), (3, "x\ny")]), "b", "x\ny",
+         "it holds '\\n'"),
+        (lambda p: write_table(str(p), "a,b", [("#x", 1)]), "a", "#x", "it starts with '#'"),
         (lambda p: write_table(str(p), "a", [(1,)], comments=[("note", "one\ntwo")]),
-         "note", "one\ntwo", "\n"),
+         "note", "one\ntwo", "it holds '\\n'"),
         (lambda p: write_table(str(p), "a", [(1,)], footer=[("auc", "0.5\r")]),
-         "auc", "0.5\r", "\r"),
+         "auc", "0.5\r", "it holds '\\r'"),
         (lambda p: write_key_values(str(p), [("seed", 1), ("input", "in\ndir")]),
-         "input", "in\ndir", "\n"),
-    ], ids=["segment-comma", "segment-newline", "meta-return", "labels-comma", "row-newline",
-            "comment-newline", "footer-return", "key-value-newline"])
+         "input", "in\ndir", "it holds '\\n'"),
+        # The reader strips each value, so this would read back as 'fl'.
+        (lambda p: write_key_values(str(p), [("seed", 1), ("input", "fl ")]),
+         "input", "fl ", "it starts or ends with whitespace"),
+    ], ids=["segment-comma", "segment-newline", "meta-return", "labels-comma", "labels-hash",
+            "row-newline", "row-hash", "comment-newline", "footer-return", "key-value-newline",
+            "key-value-blank"])
     def test_value_that_would_not_read_back_rejected_before_open(self, tmp_path, write, name,
-                                                                  value, separator):
+                                                                  value, reason):
         path = tmp_path / "out"
         with pytest.raises(ValueError) as exc:
             write(path)
-        target = f"{path}.meta" if name == "source_id" and separator == "\r" else str(path)
-        assert str(exc.value) == (
-            f"cannot write {name}={value!r} to {target}: it holds {separator!r}")
+        target = f"{path}.meta" if name == "source_id" and "\r" in value else str(path)
+        assert str(exc.value) == f"cannot write {name}={value!r} to {target}: {reason}"
         assert list(tmp_path.iterdir()) == []
 
 
