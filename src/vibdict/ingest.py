@@ -16,15 +16,19 @@ standardization to zero mean and unit variance happens afterwards.
 Every text file of the toolkit (segment CSVs, histories, labels,
 indicators, ROC curves, sparse codes, training logs, ``.meta`` sidecars
 and run configs) is written by :func:`write_table` or
-:func:`write_key_values`. Each table is read back by :func:`read_table`,
-except the segment CSV, whose first line holds values, and each
-``key=value`` file by :func:`read_key_values`.
+:func:`write_key_values`, and read through :func:`_text_lines`, which
+splits it into lines at ``\\n`` and ``\\r`` and strips each line. The
+readers (:func:`read_table`, :func:`read_key_values` and the segment CSV's)
+skip blank lines and take ``#`` lines for comments, split rows at ``,``, and
+strip each segment-header field, key and value. Before it opens a file, a
+writer refuses every value that this would change (:func:`_check_text`).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +39,8 @@ RAW_DTYPES = {"raw_f32le": "<f4", "raw_f64le": "<f8"}
 # The metadata fields of a segment: its CSV's first line, its sidecar's keys.
 SEGMENT_HEADER = "timestamp,sample_rate,source_id"
 FORMATS = ("csv",) + tuple(RAW_DTYPES)
+# Text in which no reader finds whitespace to strip, a comment or a '\r'.
+_PLAIN = re.compile(r"[-+.,0-9A-Za-z_\n]*")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +63,8 @@ class SignalSegment:
             raise ValueError("samples must be a nonempty 1-D vector")
         if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
             raise ValueError("sample_rate must be positive and finite")
+        if not self.source_id:
+            raise ValueError("source_id must be nonempty")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "timestamp", int(self.timestamp))
         bad = np.flatnonzero(~np.isfinite(samples))
@@ -88,38 +96,30 @@ def rms(samples: np.ndarray) -> float:
 
 
 def _read_csv_segment(path: str) -> SignalSegment:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    header = lines[0] if lines else ""
-    if not header.strip():
+    lines = _text_lines(path, DataError)
+    if not (lines and lines[0]):
         raise DataError(f"{path}: empty file, expected metadata header")
-    fields = [f.strip() for f in header.strip().split(",")]
+    fields = [f.strip() for f in lines[0].split(",")]
     if len(fields) != 3:
         raise DataError(f"{path}: header must be {SEGMENT_HEADER!r}, got {len(fields)} field(s)")
     timestamp, sample_rate, source_id = _segment_fields(path, *fields)
 
     samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            samples.append(float(text))
-        except ValueError:
-            raise DataError(f"{path}: malformed sample at line {lineno}: {text!r}") from None
+    for lineno, text in enumerate(lines[1:], start=2):
+        if text:
+            try:
+                samples.append(float(text))
+            except ValueError:
+                raise DataError(f"{path}: malformed sample at line {lineno}: {text!r}") from None
     if not samples:
         raise DataError(f"{path}: no samples after header")
-    values = np.array(samples)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise DataError(
-            f"{path}: non-finite sample {values[bad[0]]} at line {_sample_line(lines, bad[0])} "
-            f"(source {source_id}, t={timestamp})"
-        )
-    return SignalSegment(values, sample_rate, timestamp, source_id)
+    try:
+        return SignalSegment(np.array(samples), sample_rate, timestamp, source_id)
+    except DataError:  # a non-finite sample: name its line
+        lineno, text = next((lineno, text) for lineno, text in enumerate(lines[1:], start=2)
+                            if text and not math.isfinite(float(text)))
+        raise DataError(f"{path}: non-finite sample {float(text)} at line {lineno} "
+                        f"(source {source_id}, t={timestamp})") from None
 
 
 def _segment_fields(path: str, timestamp: str, sample_rate: str, source_id: str):
@@ -142,17 +142,11 @@ def _segment_fields(path: str, timestamp: str, sample_rate: str, source_id: str)
     return stamp, rate, source_id
 
 
-def _sample_line(lines: list[str], index: int) -> int:
-    """Line number of the index-th sample of a CSV segment (blank lines skipped)."""
-    nonblank = [lineno for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
-    return nonblank[index]
-
-
-def _text_lines(path: str, error: type[Exception]) -> list[tuple[int, str]]:
-    """(line number, stripped text) of each line of a UTF-8 text file."""
+def _text_lines(path: str, error: type[Exception]) -> list[str]:
+    """The stripped lines of a UTF-8 text file; an unreadable one raises ``error``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)]
+            return [line.strip() for line in fh]
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from exc
 
@@ -164,7 +158,7 @@ def read_key_values(path: str, error: type[Exception]) -> list[tuple[int, str, s
     without ``=`` raises ``error`` with a message naming the file.
     """
     entries = []
-    for lineno, text in _text_lines(path, error):
+    for lineno, text in enumerate(_text_lines(path, error), start=1):
         if not text or text.startswith("#"):
             continue
         key, eq, value = text.partition("=")
@@ -183,7 +177,7 @@ def read_table(path: str, header: str, parse) -> tuple[list, dict]:
     and the line for a bad row or a ValueError from ``parse``.
     """
     rows, meta, width = [], {}, 0
-    for lineno, text in _text_lines(path, DataError):
+    for lineno, text in enumerate(_text_lines(path, DataError), start=1):
         if text.startswith("#"):
             key, eq, value = text[1:].partition("=")
             if eq:
@@ -205,12 +199,27 @@ def read_table(path: str, header: str, parse) -> tuple[list, dict]:
     return rows, meta
 
 
-def _check_text(path: str, pairs, separators: str) -> None:
-    """Raise ValueError naming the first (name, value) pair whose value holds a separator."""
-    for name, value in pairs:
-        for sep in separators:
-            if sep in str(value):
-                raise ValueError(f"cannot write {name}={value!r} to {path}: it holds {sep!r}")
+def _check_text(path: str, name, value, separators: str = "", stripped: bool = True,
+                starts: bool = False, ends: bool = False) -> None:
+    """Raise ValueError unless the readers give ``str(value)`` back unchanged.
+
+    ``separators`` split the value's line. A reader strips the value if it
+    is ``stripped``, and the ends of the line, which it ``starts`` or ``ends``.
+    """
+    text = str(value)
+    held = [sep for sep in separators + "\n\r" if sep in text]
+    if held:
+        reason = f"it holds {held[0]!r}"
+    elif ((stripped or starts) and text != text.lstrip()
+            or (stripped or ends) and text != text.rstrip()):
+        reason = "it starts or ends with whitespace"
+    elif starts and text.startswith("#"):
+        reason = "it starts with '#'"
+    elif starts and ends and not text:
+        reason = "it would be a blank line"
+    else:
+        return
+    raise ValueError(f"cannot write {name}={value!r} to {path}: {reason}")
 
 
 def write_table(path: str, header: str, rows, comments=(), footer=()) -> None:
@@ -220,24 +229,24 @@ def write_table(path: str, header: str, rows, comments=(), footer=()) -> None:
     ``# key=value`` lines before the header and after the rows. Every
     field is written as ``str`` writes it, so pass Python ints, floats and
     strings: a float is then written as its shortest round-trip ``repr``.
-    The reader splits lines at ``\\n`` or ``\\r`` and fields at ``,``, and
-    takes a ``#`` line for a comment, so a field holding a separator, a row
-    starting with ``#``, or a comment or footer value holding a line break,
+    A value that would not read back as written (see :func:`_check_text`)
     raises ValueError before the file is opened.
     """
     comments, footer, rows = list(comments), list(footer), list(rows)
-    _check_text(path, comments + footer, "\n\r")
+    for key, value in comments + footer:
+        _check_text(path, "key", key, "=")
+        _check_text(path, key, value)
     body = "".join([",".join(map(str, row)) + "\n" for row in rows])
-    # Only a field's own separators, or a leading '#', make these differ.
-    if (body.count(",") != sum(map(len, rows)) - len(rows)
-            or body.count("\n") != len(rows) or "\r" in body
-            or body.startswith("#") or "\n#" in body):
+    # Plain text with a comma between fields and a line break after rows only,
+    # and no blank line, reads back as written; anything else is checked.
+    if not (_PLAIN.fullmatch(body) and body.count("\n") == len(rows)
+            and body.count(",") == sum(map(len, rows)) - len(rows)
+            and not body.startswith("\n") and "\n\n" not in body):
         names = header.split(",")
         for row in rows:
-            _check_text(path, zip(names, row), ",\n\r")
-            if row and str(row[0]).startswith("#"):
-                raise ValueError(f"cannot write {names[0]}={row[0]!r} to {path}: "
-                                 f"it starts with '#'")
+            for i, (name, value) in enumerate(zip(names, row)):
+                _check_text(path, name, value, ",", stripped=False, starts=i == 0,
+                            ends=i == len(row) - 1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"# {key}={value}\n" for key, value in comments)
         fh.write(f"{header}\n")
@@ -246,17 +255,11 @@ def write_table(path: str, header: str, rows, comments=(), footer=()) -> None:
 
 
 def write_key_values(path: str, items) -> None:
-    """Write (key, value) pairs as the ``key=value`` lines :func:`read_key_values` reads.
-
-    A value holding a line break, or with leading or trailing whitespace,
-    which the reader strips, raises ValueError before the file is opened.
-    """
+    """Write (key, value) pairs as ``key=value`` lines, refusing as :func:`write_table` does."""
     items = list(items)
-    _check_text(path, items, "\n\r")
     for key, value in items:
-        if str(value) != str(value).strip():
-            raise ValueError(f"cannot write {key}={value!r} to {path}: it starts or ends "
-                             f"with whitespace")
+        _check_text(path, "key", key, "=", starts=True)
+        _check_text(path, key, value)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{key}={value}\n" for key, value in items)
 
@@ -305,13 +308,8 @@ def load_segments(path: str, format: str = "csv") -> list[SignalSegment]:
 
     loaded = []
     for fpath in files:
-        try:
-            if format == "csv":
-                seg = _read_csv_segment(fpath)
-            else:
-                seg = _read_raw_segment(fpath, RAW_DTYPES[format])
-        except OSError as exc:
-            raise DataError(f"{fpath}: unreadable file: {exc}") from exc
+        seg = (_read_csv_segment(fpath) if format == "csv"
+               else _read_raw_segment(fpath, RAW_DTYPES[format]))
         loaded.append((seg.timestamp, os.path.basename(fpath), seg))
     loaded.sort(key=lambda item: (item[0], item[1]))
     return [seg for _, _, seg in loaded]
@@ -320,7 +318,8 @@ def load_segments(path: str, format: str = "csv") -> list[SignalSegment]:
 def save_segment_csv(segment: SignalSegment, path: str) -> None:
     """Write one segment in the CSV format read by :func:`load_segments`."""
     header = (segment.timestamp, float(segment.sample_rate), segment.source_id)
-    _check_text(path, zip(SEGMENT_HEADER.split(","), header), ",\n\r")
+    for name, value in zip(SEGMENT_HEADER.split(","), header):
+        _check_text(path, name, value, ",")
     write_table(path, ",".join(map(str, header)), ((x,) for x in segment.samples.tolist()))
 
 

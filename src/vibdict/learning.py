@@ -22,6 +22,7 @@ import numpy as np
 
 from .coding import CodingConfig, SparseCode, encode
 from .dictionary import Atom, Dictionary, maybe_grow, unit_normalize
+from .errors import AtomFitError, NumericError
 from .ingest import SignalSegment
 from .metrics import HistoryRecord, dictionary_distance, fidelity_db
 
@@ -84,6 +85,23 @@ def gradient_update(dictionary: Dictionary, code: SparseCode, cfg: LearnConfig) 
     return Dictionary(tuple(atoms), dictionary.generation + 1)
 
 
+def _raise_if_outgrown(live: Dictionary, start: Dictionary, segment: SignalSegment,
+                       eta: float) -> None:
+    """Raise NumericError if the atom that does not fit ``segment`` grew since ``start``.
+
+    The atom is the first in ``live`` longer than the segment, the one
+    :func:`encode` rejects with an AtomFitError. If it was already that
+    long in ``start``, the data is at fault, and this returns.
+    """
+    atom = next(atom for atom in live.atoms if len(atom) > len(segment))
+    if len(atom) > next(len(old) for old in start.atoms if old.id == atom.id):
+        raise NumericError(
+            f"atom {atom.id} grew to length {len(atom)} and does not fit in segment of "
+            f"length {len(segment)} (source {segment.source_id}, t={segment.timestamp}); "
+            f"the learning rate --eta {eta} is too large for this segment length"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class TrainResult:
     """Outcome of baseline training: final dictionary plus diagnostics."""
@@ -103,14 +121,19 @@ def train_baseline(
 
     Blocks are visited in order; each is coded against the current
     dictionary, the per-block fidelity is recorded, and the dictionary is
-    updated from the code.
+    updated from the code. An atom that grows past a block raises
+    NumericError.
     """
     if not blocks:
         raise ValueError("need at least one training block")
     fidelities = np.empty(len(blocks))
-    growth_events = 0
+    growth_events, start = 0, dictionary
     for i, block in enumerate(blocks):
-        code = encode(block, dictionary, coding_cfg)
+        try:
+            code = encode(block, dictionary, coding_cfg)
+        except AtomFitError:
+            _raise_if_outgrown(dictionary, start, block, learn_cfg.eta)
+            raise
         fidelities[i] = fidelity_db(block.samples, code.residual)
         before = {atom.id: len(atom) for atom in dictionary.atoms}
         dictionary = gradient_update(dictionary, code, learn_cfg)
@@ -172,9 +195,13 @@ def monitor_segments(
     the next segment only when asked, so any iterable of segments works.
     ``baseline`` defaults to the starting dictionary, which is the usual
     own-baseline setup; pass a different dictionary to measure against a
-    foreign reference.
+    foreign reference. An atom that grows past a segment raises NumericError.
     """
     state = MonitorState(dictionary, baseline if baseline is not None else dictionary)
     for segment in segments:
-        state, record, code = monitor_step(state, segment, coding_cfg, learn_cfg)
+        try:
+            state, record, code = monitor_step(state, segment, coding_cfg, learn_cfg)
+        except AtomFitError:
+            _raise_if_outgrown(state.dictionary, dictionary, segment, learn_cfg.eta)
+            raise
         yield state, record, code

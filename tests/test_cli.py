@@ -1,12 +1,11 @@
 import hashlib
-import multiprocessing
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -81,14 +80,12 @@ def forked_pids(monkeypatch):
 
 
 def assert_reaped(pids):
-    """No child is left running, or exited but unreaped.
-
-    ``os.waitpid(-1, ...)`` cannot check this within the test session: the
-    resource tracker of a spawned pool in another test stays a child of it.
-    """
+    """No child is left running, or exited but unreaped: neither these nor any other."""
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def train_args(indir, outdir, **extra):
@@ -242,6 +239,30 @@ class TestMonitor:
             args.extend([f"--{key.replace('_', '-')}", value])
         return args
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_atom_grown_past_segment_is_numeric_error(self, tmp_path, capsys, forked_pids,
+                                                      jobs):
+        fleet_dir, base = tmp_path / "fleet", tmp_path / "base"
+        assert run("synth", "--output", fleet_dir, "--machines", 1, "--segments", 200,
+                   "--segment-len", 256, "--fault-machine", -1, "--seed", 3) == 0
+        assert run("train", "--input", fleet_dir, "--output", base, "--atoms", 3,
+                   "--core-len", 50, "--pad", 10, "--train-blocks", 50, "--block-len", 256,
+                   "--eta", "3e-4", "--seed", 5) == 0
+        # A second machine with the same data and baseline, so that --jobs 2 forks.
+        (fleet_dir / "m01").symlink_to(fleet_dir / "m00", target_is_directory=True)
+        shutil.copy(base / "m00.vdct", base / "m01.vdct")
+        capsys.readouterr()
+        code = run("monitor", "--input", fleet_dir, "--baseline", base, "--output",
+                   tmp_path / "mon", "--atoms", 3, "--eta", "1e-2", "--rms-gate", 0,
+                   "--jobs", jobs)
+        # The trained atom 0 is shorter than 256 samples; monitoring grows it to 270.
+        assert (code, capsys.readouterr().err) == (4, (
+            "numeric error: atom 0 grew to length 270 and does not fit in segment of length "
+            "256 (source m00, t=388800); the learning rate --eta 0.01 is too large for this "
+            "segment length\n"))
+        assert len(forked_pids) == (2 if jobs == 2 else 0)
+        assert_reaped(forked_pids)
+
     def test_atom_longer_than_segment_is_data_error(self, small_fleet, tmp_path, capsys):
         base = tmp_path / "long"
         base.mkdir()
@@ -348,10 +369,24 @@ class TestMonitor:
         expected = fleet.monitor_one(serial)
 
         # A spawned worker starts from a fresh import: nothing is inherited.
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            result = pool.submit(fleet.monitor_one, spawned).result(timeout=120)
-        assert result == expected
+        # The pool runs in a process of its own, so that its resource
+        # tracker ends with it and leaves no child of this one.
+        probe = (
+            "import multiprocessing, pickle, sys\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "import vibdict.fleet as fleet\n"
+            "with open(sys.argv[1], 'rb') as fh:\n"
+            "    task = pickle.load(fh)\n"
+            "context = multiprocessing.get_context('spawn')\n"
+            "with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:\n"
+            "    result = pool.submit(fleet.monitor_one, task).result(timeout=120)\n"
+            "with open(sys.argv[2], 'wb') as fh:\n"
+            "    pickle.dump(result, fh)\n"
+        )
+        (tmp_path / "task.pkl").write_bytes(pickle.dumps(spawned))
+        done = spawn("-c", probe, tmp_path / "task.pkl", tmp_path / "result.pkl")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert pickle.loads((tmp_path / "result.pkl").read_bytes()) == expected
         for name in ("m00_history.csv", "m00_final.vdct"):
             assert ((tmp_path / "spawned" / name).read_bytes()
                     == (tmp_path / "serial" / name).read_bytes())

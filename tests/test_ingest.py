@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vibdict.errors import ConfigError, DataError
 from vibdict.ingest import (
@@ -504,9 +509,26 @@ class TestTextWriters:
         # The reader strips each value, so this would read back as 'fl'.
         (lambda p: write_key_values(str(p), [("seed", 1), ("input", "fl ")]),
          "input", "fl ", "it starts or ends with whitespace"),
+        # Each of these was written, and read back changed, before the one rule.
+        (lambda p: write_table(str(p), "a", [("",), ("x",)]), "a", "",
+         "it would be a blank line"),
+        (lambda p: _save_labels(p, " m01"), "machine_id", " m01",
+         "it starts or ends with whitespace"),
+        (lambda p: write_table(str(p), "a,b", [(1, "2 ")]), "b", "2 ",
+         "it starts or ends with whitespace"),
+        (lambda p: write_table(str(p), "a,b", [(1, "2\x85")]), "b", "2\x85",
+         "it starts or ends with whitespace"),
+        (lambda p: save_segment_csv(make_segment([1.0], source=" m00"), str(p)),
+         "source_id", " m00", "it starts or ends with whitespace"),
+        (lambda p: _save_indicator(p, " m01"), "machine", " m01",
+         "it starts or ends with whitespace"),
+        (lambda p: write_table(str(p), "a", [(1,)], footer=[("auc", "0.5 ")]), "auc", "0.5 ",
+         "it starts or ends with whitespace"),
     ], ids=["segment-comma", "segment-newline", "meta-return", "labels-comma", "labels-hash",
             "row-newline", "row-hash", "comment-newline", "footer-return", "key-value-newline",
-            "key-value-blank"])
+            "key-value-blank", "one-column-blank-row", "labels-leading-blank",
+            "last-field-trailing-blank", "last-field-x85", "segment-source-blank",
+            "comment-blank", "footer-blank"])
     def test_value_that_would_not_read_back_rejected_before_open(self, tmp_path, write, name,
                                                                   value, reason):
         path = tmp_path / "out"
@@ -517,8 +539,74 @@ class TestTextWriters:
         assert list(tmp_path.iterdir()) == []
 
 
+def _save_indicator(path, machine):
+    from vibdict.metrics import IndicatorSeries, save_indicator_csv
+
+    save_indicator_csv(IndicatorSeries("distance_deg", [10], [0.5]), str(path), machine=machine)
+
+
 def _save_labels(path, machine):
     from vibdict.detect import LabeledWindow, save_labels_csv
 
     save_labels_csv([LabeledWindow("m00", 0, 10, "healthy"),
                      LabeledWindow(machine, 0, 10, "faulty")], str(path))
+
+
+# Pieces of text that a reader splits at, strips, skips or takes for a
+# comment, and plain ones, so that the writers accept some of it.
+PIECES = [",", "#", "=", " ", "\t", "\x85", "\u2028", "", "\n", "\r"]
+TEXT = st.lists(st.sampled_from(PIECES) | st.sampled_from(["a", "1", "m00"]),
+                max_size=4).map("".join)
+
+
+def _written(tmp, write) -> str | None:
+    """The file ``write`` made in ``tmp``, or None if it raised ValueError and made none."""
+    path = os.path.join(tmp, "out")
+    try:
+        write(path)
+    except ValueError:
+        assert os.listdir(tmp) == []
+        return None
+    return path
+
+
+class TestTextRoundTrip:
+    """Whatever a writer accepts reads back equal as ``str``; what it refuses leaves no file."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(width=st.integers(1, 3), data=st.data())
+    def test_table(self, width, data):
+        header = ",".join("abc"[:width])
+        rows = data.draw(st.lists(st.tuples(*[TEXT] * width), max_size=3))
+        meta = list(data.draw(st.dictionaries(TEXT, TEXT, max_size=3)).items())
+        comments, footer = meta[: len(meta) // 2], meta[len(meta) // 2 :]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _written(tmp, lambda p: write_table(p, header, rows, comments, footer))
+            if path:
+                assert read_table(path, header, lambda *fields: fields) == (rows, dict(meta))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(items=st.dictionaries(TEXT, TEXT, max_size=4))
+    def test_key_values(self, items):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _written(tmp, lambda p: write_key_values(p, items.items()))
+            if path:
+                read = read_key_values(path, DataError)
+                assert [(key, value) for _, key, value in read] == list(items.items())
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(source=TEXT, fmt=st.sampled_from(["csv", "raw_f64le"]))
+    def test_segment_header(self, source, fmt):
+        def save(path):
+            segment = make_segment([0.5, -1.0], t=86400, source=source, rate=0.1 + 0.2)
+            if fmt == "csv":
+                save_segment_csv(segment, path)
+            else:
+                save_segment_raw(segment, path, fmt)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _written(tmp, save)
+            if path:
+                (loaded,) = load_segments(path, fmt)
+                assert (loaded.source_id, loaded.timestamp, loaded.sample_rate) == (
+                    source, 86400, 0.1 + 0.2)

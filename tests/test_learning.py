@@ -5,6 +5,7 @@ import pytest
 
 from vibdict.coding import AtomInstance, CodingConfig, SparseCode, encode, reconstruct
 from vibdict.dictionary import Atom, Dictionary, init_pseudorandom, unit_normalize
+from vibdict.errors import AtomFitError, NumericError
 from vibdict.ingest import SignalSegment, preprocess
 from vibdict.learning import (
     LearnConfig,
@@ -178,6 +179,22 @@ class TestTrainBaseline:
         with pytest.raises(ValueError):
             train_baseline([], d, CodingConfig("mp"), LearnConfig())
 
+    def test_atom_grown_past_block_is_numeric_error(self):
+        # A flat atom carries energy in both tails, so its first step grows
+        # it from 20 to 40 samples, past the 30-sample blocks.
+        flat = Dictionary((Atom(unit_normalize(np.ones(20)), 0),))
+        blocks = self.blocks(np.random.default_rng(5), count=2, n=30)
+        with pytest.raises(NumericError, match=r"^atom 0 grew to length 40 and does not fit "
+                                               r"in segment of length 30 \(source m, t=1\); "
+                                               r"the learning rate --eta 0\.001 is too large"):
+            train_baseline(blocks, flat, CodingConfig("mp", n_instances=1), LearnConfig(1e-3))
+
+    def test_atom_too_long_from_the_start_stays_data_error(self):
+        long = Dictionary((Atom(unit_normalize(np.ones(40)), 0),))
+        blocks = self.blocks(np.random.default_rng(5), count=2, n=30)
+        with pytest.raises(AtomFitError, match="^atom 0 of length 40 does not fit"):
+            train_baseline(blocks, long, CodingConfig("mp", n_instances=1), LearnConfig(1e-3))
+
 
 class TestMonitor:
     def stream(self, rng, count=6, n=64):
@@ -185,6 +202,15 @@ class TestMonitor:
             preprocess(SignalSegment(rng.standard_normal(n), 1000.0, 100 + 10 * k, "m"))
             for k in range(count)
         ]
+
+    def test_atom_grown_past_segment_is_numeric_error(self):
+        flat = Dictionary((Atom(unit_normalize(np.ones(20)), 0),))
+        steps = monitor_segments(self.stream(np.random.default_rng(7), n=30), flat,
+                                 CodingConfig("mp", n_instances=1), LearnConfig(1e-3))
+        assert next(steps)[0].dictionary.atoms[0].waveform.size == 40
+        with pytest.raises(NumericError, match=r"^atom 0 grew to length 40 .* \(source m, "
+                                               r"t=110\); the learning rate --eta 0\.001"):
+            next(steps)
 
     def test_frozen_monitoring_distance_zero(self):
         rng = np.random.default_rng(6)
