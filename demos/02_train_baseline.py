@@ -10,8 +10,6 @@ import numpy as np
 
 from vibdict import (
     Atom,
-    CodingConfig,
-    LearnConfig,
     SynthSpec,
     atom_coherence,
     default_planted_atoms,
@@ -20,6 +18,12 @@ from vibdict import (
     preprocess,
     train_baseline,
 )
+from vibdict.cli import build_parser
+from vibdict.fleet import coder_configs
+
+# `vibdict train` flags; --sparsity 1 - 10/2048 codes 10 placements per block.
+TRAIN = build_parser().parse_args(
+    "train --atoms 3 --sparsity 0.9951171875 --eta 3e-4 --seed 5".split())
 
 
 def sparkline(values, width=48):
@@ -41,10 +45,9 @@ def main():
     fleet, _ = generate_fleet([spec], segments=500, segment_len=2048, cadence=3600)
     blocks = [preprocess(s) for s in fleet["demo"]]
 
-    start = init_pseudorandom(num_atoms=3, core_len=50, pad=10, seed=5)
-    result = train_baseline(blocks, start,
-                            CodingConfig("mp", sparsity=0.99, n_instances=10),
-                            LearnConfig(eta=3e-4))
+    start = init_pseudorandom(TRAIN.atoms, TRAIN.core_len, TRAIN.pad, TRAIN.seed)
+    coding, learn, _ = coder_configs(TRAIN)
+    result = train_baseline(blocks, start, coding, learn)
 
     print(f"trained on {len(blocks)} blocks, "
           f"{result.growth_events} atom growth events")

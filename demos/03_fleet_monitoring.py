@@ -8,27 +8,32 @@ its distance climbs while the healthy machines stay flat, and the fleet
 MAD score flags it within a few segments.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from vibdict import (
-    CodingConfig,
     FaultSpec,
     IndicatorSeries,
-    LearnConfig,
     SynthSpec,
     default_planted_atoms,
     generate_fleet,
     init_pseudorandom,
     mad_series,
-    monitor_segments,
     preprocess,
     train_baseline,
 )
+from vibdict.cli import build_parser
+from vibdict.fleet import coder_configs, monitor_machine
 
 SEGMENTS = 120
 ONSET = 60
 CADENCE = 3600
-CODING = CodingConfig("mp", sparsity=0.99, n_instances=8)
+# `vibdict` flags; --sparsity 1 - 8/n codes 8 placements per n samples.
+TRAIN = build_parser().parse_args(
+    "train --atoms 3 --sparsity 0.99609375 --eta 3e-4 --seed 5".split())
+MONITOR = build_parser().parse_args(
+    "monitor --atoms 3 --sparsity 0.9921875 --eta 1e-4 --rms-gate 0".split())
 PLANTED = default_planted_atoms(count=3, length=50)
 NOISE = {"m00": 0.8, "m01": 1.1, "m02": 1.0, "m03": 0.9, "m04": 1.2, "m05": 1.0}
 NOISE_REF = float(np.sqrt(5 * (3.0 ** 2 + 0.5 ** 2) / 2048 / 10.0))
@@ -43,33 +48,26 @@ def healthy_spec(machine, seed):
 def main():
     machines = sorted(NOISE)
     baselines = {}
+    coding, learn, _ = coder_configs(TRAIN)
     for k, machine in enumerate(machines):
         fleet, _ = generate_fleet([healthy_spec(machine, 600 + k)],
                                   segments=500, segment_len=2048, cadence=CADENCE)
         blocks = [preprocess(s) for s in fleet[machine]]
-        d0 = init_pseudorandom(num_atoms=3, core_len=50, pad=10, seed=5)
-        baselines[machine] = train_baseline(
-            blocks, d0, CODING, LearnConfig(eta=3e-4)).dictionary
+        d0 = init_pseudorandom(TRAIN.atoms, TRAIN.core_len, TRAIN.pad, TRAIN.seed)
+        baselines[machine] = train_baseline(blocks, d0, coding, learn).dictionary
     print(f"trained {len(baselines)} baselines")
 
     fault = FaultSpec(onset=ONSET * CADENCE, impulse_period=149,
                       impulse_amp=1.5, impulse_decay=0.8)
-    specs = []
-    for k, machine in enumerate(machines):
-        spec = healthy_spec(machine, 100 + k)
-        specs.append(SynthSpec(machine, planted_atoms=PLANTED, instance_rate=5.0,
-                               amplitude_dist=spec.amplitude_dist,
-                               noise_std=spec.noise_std,
-                               fault=fault if machine == "m02" else None,
-                               seed=spec.seed))
-    fleet, _ = generate_fleet(specs, segments=SEGMENTS,
-                              segment_len=1024, cadence=CADENCE)
+    specs = [replace(healthy_spec(m, 100 + k), instance_rate=5.0,
+                     fault=fault if m == "m02" else None)
+             for k, m in enumerate(machines)]
+    fleet, _ = generate_fleet(specs, segments=SEGMENTS, segment_len=1024, cadence=CADENCE)
 
     series = {}
     for machine in machines:
-        stream = [preprocess(s) for s in fleet[machine]]
-        records = [record for _, record, _ in monitor_segments(
-            stream, baselines[machine], CODING, LearnConfig(eta=1e-4))]
+        records = [record for _, record, _ in monitor_machine(
+            fleet[machine], MONITOR, baselines[machine])]
         series[machine] = IndicatorSeries(
             machine,
             np.array([r.timestamp for r in records]),

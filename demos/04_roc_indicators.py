@@ -12,31 +12,34 @@ trends upward. The ROC sweep quantifies the gap.
 import numpy as np
 
 from vibdict import (
-    CodingConfig,
     FaultSpec,
     IndicatorSeries,
     LabeledWindow,
-    LearnConfig,
     SynthSpec,
     default_planted_atoms,
     gabor_atom,
     generate_fleet,
     init_pseudorandom,
     min_diff_series,
-    monitor_segments,
     preprocess,
     roc_curve,
     series_samples,
     slope_indicator,
     train_baseline,
 )
+from vibdict.cli import build_parser
+from vibdict.fleet import coder_configs, monitor_machine
 
 SEGMENTS = 150
 ONSET = 60
 CADENCE = 3600
 FAULT_MACHINE = "m02"
 STALE_MACHINE = "m03"
-CODING = CodingConfig("mp", sparsity=0.99, n_instances=8)
+# `vibdict` flags; --sparsity 1 - 8/n codes 8 placements per n samples.
+TRAIN = build_parser().parse_args(
+    "train --atoms 3 --sparsity 0.99609375 --eta 3e-4 --seed 5".split())
+MONITOR = build_parser().parse_args(
+    "monitor --atoms 3 --sparsity 0.9921875 --eta 1e-4 --rms-gate 0".split())
 PLANTED = default_planted_atoms(count=3, length=50)
 DETUNED = tuple(gabor_atom(50, cycles=3.0 + 4.0 * k + 0.05) for k in range(3))
 NOISE = {"m00": 0.8, "m01": 1.0, "m02": 1.2, "m03": 1.0}
@@ -47,12 +50,11 @@ def fit_dictionary(machine, seed, planted):
     spec = SynthSpec(machine, planted_atoms=planted, instance_rate=2.5,
                      amplitude_dist=(3.0, 0.5),
                      noise_std=NOISE[machine] * NOISE_REF, seed=seed)
-    fleet, _ = generate_fleet([spec], segments=400, segment_len=2048,
-                              cadence=CADENCE)
+    fleet, _ = generate_fleet([spec], segments=400, segment_len=2048, cadence=CADENCE)
     blocks = [preprocess(s) for s in fleet[machine]]
-    d0 = init_pseudorandom(num_atoms=3, core_len=50, pad=10, seed=5)
-    return train_baseline(blocks, d0, CODING,
-                          LearnConfig(eta=3e-4)).dictionary
+    d0 = init_pseudorandom(TRAIN.atoms, TRAIN.core_len, TRAIN.pad, TRAIN.seed)
+    coding, learn, _ = coder_configs(TRAIN)
+    return train_baseline(blocks, d0, coding, learn).dictionary
 
 
 def nearest_point(curve, fpr):
@@ -61,10 +63,8 @@ def nearest_point(curve, fpr):
 
 def main():
     machines = sorted(NOISE)
-    starts, baselines = {}, {}
-    for k, machine in enumerate(machines):
-        starts[machine] = fit_dictionary(machine, 600 + k, PLANTED)
-        baselines[machine] = starts[machine]
+    starts = {m: fit_dictionary(m, 600 + k, PLANTED) for k, m in enumerate(machines)}
+    baselines = dict(starts)
     # m03's stored baseline was learned before the machine was re-tuned:
     # same atom family, slightly different carrier cycles.
     baselines[STALE_MACHINE] = fit_dictionary(STALE_MACHINE, 705, DETUNED)
@@ -83,10 +83,8 @@ def main():
 
     series = {}
     for machine in machines:
-        stream = [preprocess(s) for s in fleet[machine]]
-        records = [record for _, record, _ in monitor_segments(
-            stream, starts[machine], CODING, LearnConfig(eta=1e-4),
-            baseline=baselines[machine])]
+        records = [record for _, record, _ in monitor_machine(
+            fleet[machine], MONITOR, baselines[machine], starts[machine])]
         series[machine] = IndicatorSeries(
             machine,
             np.array([r.timestamp for r in records]),

@@ -2,9 +2,9 @@
 
 ``train_one`` and ``monitor_one`` each run one machine's whole stage from
 a :class:`MachineTask`: load, gate and standardise its segments, code
-them, and write its outputs. ``run_per_machine`` runs a worker over a
-fleet's tasks, one forked child per machine, and returns the results in
-task order.
+them, and write its outputs; ``monitor_machine`` is ``monitor``'s part in
+between. ``run_per_machine`` runs a worker over a fleet's tasks, one
+forked child per machine, and returns the results in task order.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import coding, dictionary, ingest, learning, metrics
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContentError, DataError
 
 if typing.TYPE_CHECKING:
     import argparse
@@ -61,29 +61,20 @@ def coder_configs(
         raise ConfigError(str(exc)) from exc
 
 
-def _prepared_segments(indir: str, fmt: str, gate: ingest.SegmentGate):
-    """Load, gate, and standardize one machine's segments.
-
-    Returns (available, gated, prepared) so callers can report the
-    accounting in errors.
-    """
-    segments = ingest.load_segments(indir, fmt)
-    gated = ingest.gate_by_rms(segments, gate)
-    return len(segments), len(gated), [ingest.preprocess(s) for s in gated]
-
-
 def train_one(task: MachineTask) -> tuple[float, int]:
     """Train and save one machine's baseline; return (final fidelity dB, growth events)."""
     cfg, machine = task.settings, task.machine
     coding_cfg, learn_cfg, gate = coder_configs(cfg)
-    available, gated, prepared = _prepared_segments(task.indir, cfg.format, gate)
-    usable = [s for s in prepared if len(s) >= cfg.block_len]
+    segments = ingest.load_segments(task.indir, cfg.format)
+    gated = ingest.gate_by_rms(segments, gate)
+    usable = [s for s in [ingest.preprocess(s) for s in gated] if len(s) >= cfg.block_len]
     if not usable:
         raise DataError(
             f"machine {machine!r}: insufficient training data "
-            f"({available} segments available, {gated} passed the RMS gate, "
+            f"({len(segments)} segments available, {len(gated)} passed the RMS gate, "
             f"{len(usable)} long enough for block_len={cfg.block_len})"
         )
+    del segments, gated  # free the raw samples before training
     blocks = ingest.sample_blocks(
         usable, cfg.block_len, cfg.train_blocks, machine_seed(cfg.seed, machine)
     )
@@ -100,38 +91,45 @@ def train_one(task: MachineTask) -> tuple[float, int]:
 def _load_baseline(path: str, atoms: int):
     base = dictionary.load_dictionary(path)
     if len(base.atoms) != atoms:
-        raise ConfigError(
-            f"baseline {path} has {len(base.atoms)} atoms but config expects {atoms}"
-        )
+        raise ConfigError(f"baseline {path} has {len(base.atoms)} atoms "
+                          f"but config expects {atoms}")
     return base
 
 
-def _baseline_for(machine: str, baseline_path: str, atoms: int):
-    if os.path.isdir(baseline_path):
-        return _load_baseline(os.path.join(baseline_path, f"{machine}.vdct"), atoms)
-    return _load_baseline(baseline_path, atoms)
+def monitor_machine(segments: list[ingest.SignalSegment], settings: argparse.Namespace,
+                    own: dictionary.Dictionary, live: dictionary.Dictionary | None = None):
+    """The lazy ``(state, record, code)`` steps of ``vibdict monitor`` over raw segments.
+
+    ``settings`` are the command's resolved flags; ``live`` (``own`` if None) codes and
+    ``own`` is the distance reference. Two segments at one timestamp raise ValueError now.
+    """
+    coding_cfg, learn_cfg, gate = coder_configs(settings)
+    if settings.mode in ("frozen", "foreign"):
+        learn_cfg = replace(learn_cfg, eta=0.0)
+    prepared = [ingest.preprocess(s) for s in ingest.gate_by_rms(segments, gate)]
+    for before, after in zip(prepared, prepared[1:]):
+        if before.timestamp == after.timestamp:
+            raise ValueError(f"two segments at timestamp {after.timestamp}; "
+                             f"monitor needs one segment per timestamp")
+    return learning.monitor_segments(prepared, own if live is None else live, coding_cfg,
+                                     learn_cfg, baseline=own)
 
 
 def monitor_one(task: MachineTask) -> tuple[int, metrics.HistoryRecord | None]:
     """Monitor one machine and save its outputs; return (records, last record)."""
     cfg, machine = task.settings, task.machine
-    coding_cfg, learn_cfg, gate = coder_configs(cfg)
-    if cfg.mode in ("frozen", "foreign"):
-        learn_cfg = replace(learn_cfg, eta=0.0)
-    own = _baseline_for(machine, cfg.baseline, cfg.atoms)
+    own = _load_baseline(os.path.join(cfg.baseline, f"{machine}.vdct")
+                         if os.path.isdir(cfg.baseline) else cfg.baseline, cfg.atoms)
     live = _load_baseline(cfg.foreign, cfg.atoms) if cfg.mode == "foreign" else own
-    _, _, prepared = _prepared_segments(task.indir, cfg.format, gate)
-    for before, after in zip(prepared, prepared[1:]):
-        if before.timestamp == after.timestamp:
-            raise DataError(f"{task.indir}: two segments at timestamp {after.timestamp}; "
-                            f"monitor needs one segment per timestamp")
+    try:  # the raw segments are freed once monitor_machine returns
+        steps = monitor_machine(ingest.load_segments(task.indir, cfg.format), cfg, own, live)
+    except ValueError as exc:  # two segments at one timestamp
+        raise ContentError(f"{task.indir}: {exc}") from None
     codes_dir = os.path.join(cfg.output, f"{machine}_codes")
     if cfg.dump_codes:
         os.makedirs(codes_dir, exist_ok=True)
     final, records = live, []
-    for state, record, code in learning.monitor_segments(
-        prepared, live, coding_cfg, learn_cfg, baseline=own
-    ):
+    for state, record, code in steps:
         final = state.dictionary
         records.append(record)
         if cfg.dump_codes:

@@ -41,6 +41,7 @@ SEGMENT_HEADER = "timestamp,sample_rate,source_id"
 FORMATS = ("csv",) + tuple(RAW_DTYPES)
 # Text in which no reader finds whitespace to strip, a comment or a '\r'.
 _PLAIN = re.compile(r"[-+.,0-9A-Za-z_\n]*")
+_SURROGATE = re.compile("[\ud800-\udfff]")  # all the str characters UTF-8 cannot encode
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,6 +211,8 @@ def _check_text(path: str, name, value, separators: str = "", stripped: bool = T
     held = [sep for sep in separators + "\n\r" if sep in text]
     if held:
         reason = f"it holds {held[0]!r}"
+    elif _SURROGATE.search(text):
+        reason = "UTF-8 cannot encode it"
     elif ((stripped or starts) and text != text.lstrip()
             or (stripped or ends) and text != text.rstrip()):
         reason = "it starts or ends with whitespace"

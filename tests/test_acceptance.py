@@ -5,6 +5,9 @@ verdict line directly to the real stdout so the acceptance status is
 visible in plain test logs even when pytest captures output. Criteria
 that share an expensive synthetic scenario reuse module-scoped fixtures;
 every scenario is seeded, so the whole suite is bitwise reproducible.
+Criteria 06-10 take every coder and learner setting from ``vibdict``
+command lines, and criteria 07, 08 and 10 monitor through
+``fleet.monitor_machine``, the steps that ``vibdict monitor`` runs.
 """
 
 import math
@@ -18,7 +21,6 @@ from vibdict import (
     CodingConfig,
     Dictionary,
     IndicatorSeries,
-    LearnConfig,
     SignalSegment,
     SynthSpec,
     FaultSpec,
@@ -33,7 +35,6 @@ from vibdict import (
     instance_budget,
     mad_series,
     min_diff_series,
-    monitor_segments,
     preprocess,
     reconstruct,
     roc_curve,
@@ -41,6 +42,8 @@ from vibdict import (
     train_baseline,
     unit_normalize,
 )
+from vibdict.cli import build_parser
+from vibdict.fleet import coder_configs, monitor_machine
 from vibdict.learning import gradient_directions
 from vibdict.metrics import FIDELITY_CAP_DB
 
@@ -231,9 +234,22 @@ def test_criterion_05_sparsity_accounting(verdict):
 
 # ------------------------------------------------------------ C6, C9, C10
 
+def _flags(command):
+    """The resolved flags of a ``vibdict`` command line."""
+    return build_parser().parse_args(command.split())
+
+
+def _train(blocks, settings):
+    """Train over blocks in order with the coder, learner and seed atoms of ``settings``."""
+    coding_cfg, learn_cfg, _ = coder_configs(settings)
+    d0 = init_pseudorandom(settings.atoms, settings.core_len, settings.pad, settings.seed)
+    return train_baseline(blocks, d0, coding_cfg, learn_cfg)
+
+
 RECOVERY_BLOCK = 2048
-RECOVERY_CODING = CodingConfig("mp", sparsity=0.99, n_instances=10)
-RECOVERY_LEARN = LearnConfig(eta=3e-4)
+# --sparsity 1 - k/n codes exactly k placements per n samples: 10 per 2,048 here
+RECOVERY_SPARSITY = "0.9951171875"
+RECOVERY_TRAIN = _flags(f"train --atoms 3 --sparsity {RECOVERY_SPARSITY} --eta 3e-4 --seed 5")
 # five instances per block at amplitude mean 3, std 0.5 against noise
 # sized for a 10 dB planted-to-noise power ratio
 RECOVERY_RATE = 2.5
@@ -242,20 +258,20 @@ RECOVERY_NOISE = math.sqrt(5 * (3.0 ** 2 + 0.5 ** 2) / RECOVERY_BLOCK / 10.0)
 
 
 def _planted_stream(seed, segments):
+    """Raw segments of the planted-atom machine."""
     spec = SynthSpec("plant", planted_atoms=default_planted_atoms(count=3, length=50),
                      instance_rate=RECOVERY_RATE, amplitude_dist=RECOVERY_AMPLITUDE,
                      noise_std=RECOVERY_NOISE, seed=seed)
     fleet, _ = generate_fleet([spec], segments=segments,
                               segment_len=RECOVERY_BLOCK, cadence=3600)
-    return [preprocess(s) for s in fleet["plant"]]
+    return fleet["plant"]
 
 
 @pytest.fixture(scope="module")
 def recovery_outcome():
     t0 = time.perf_counter()
-    blocks = _planted_stream(seed=77, segments=500)
-    d0 = init_pseudorandom(num_atoms=3, core_len=50, pad=10, seed=5)
-    result = train_baseline(blocks, d0, RECOVERY_CODING, RECOVERY_LEARN)
+    blocks = [preprocess(s) for s in _planted_stream(seed=77, segments=500)]
+    result = _train(blocks, RECOVERY_TRAIN)
     return {
         "dictionary": result.dictionary,
         "planted": [Atom(w, i) for i, w in enumerate(default_planted_atoms(count=3, length=50))],
@@ -277,11 +293,12 @@ def test_criterion_06_planted_dictionary_recovery(recovery_outcome, verdict):
 
 def test_criterion_09_fidelity_ordering(recovery_outcome, verdict):
     failures = []
-    stream = _planted_stream(seed=78, segments=50)
+    stream = [preprocess(s) for s in _planted_stream(seed=78, segments=50)]
     learned = recovery_outcome["dictionary"]
     fid = {"mp": [], "omp": []}
     for algorithm in ("mp", "omp"):
-        cfg = CodingConfig(algorithm, sparsity=0.99, n_instances=10)
+        cfg, _, _ = coder_configs(_flags(f"monitor --algo {algorithm} "
+                                         f"--sparsity {RECOVERY_SPARSITY}"))
         for seg in stream:
             code = encode(seg, learned, cfg)
             fid[algorithm].append(fidelity_db(seg.samples, code.residual))
@@ -299,12 +316,12 @@ def test_criterion_09_fidelity_ordering(recovery_outcome, verdict):
 def test_criterion_10_foreign_baseline_degradation(recovery_outcome, verdict):
     failures = []
     stream = _planted_stream(seed=78, segments=50)
-    frozen = LearnConfig(eta=0.0)
+    frozen = _flags(f"monitor --atoms 3 --mode frozen --sparsity {RECOVERY_SPARSITY} "
+                    f"--rms-gate 0")
     own = recovery_outcome["dictionary"]
     foreign = init_pseudorandom(num_atoms=3, core_len=50, pad=10, seed=1234)
-    own_records = [r for _, r, _ in monitor_segments(stream, own, RECOVERY_CODING, frozen)]
-    foreign_records = [r for _, r, _ in monitor_segments(stream, foreign, RECOVERY_CODING,
-                                                         frozen)]
+    own_records = [r for _, r, _ in monitor_machine(stream, frozen, own)]
+    foreign_records = [r for _, r, _ in monitor_machine(stream, frozen, foreign)]
     own_mean = float(np.mean([r.fidelity_db for r in own_records]))
     foreign_mean = float(np.mean([r.fidelity_db for r in foreign_records]))
     gap = own_mean - foreign_mean
@@ -323,9 +340,9 @@ FLEET_SEGMENT = 1024
 FLEET_CADENCE = 3600
 FLEET_SEGMENTS = 300
 ONSET_INDEX = 150
-FLEET_CODING = CodingConfig("mp", sparsity=0.99, n_instances=8)
-FLEET_TRAIN_LEARN = LearnConfig(eta=3e-4)
-FLEET_MONITOR_LEARN = LearnConfig(eta=1e-4)
+# 8 placements per 2,048-sample training block and per 1,024-sample segment
+FLEET_TRAIN = _flags("train --atoms 3 --sparsity 0.99609375 --eta 3e-4 --seed 5")
+FLEET_MONITOR = _flags("monitor --atoms 3 --sparsity 0.9921875 --eta 1e-4 --rms-gate 0")
 FLEET_MONITOR_RATE = 5.0
 MAD_THRESHOLD = 3.0
 
@@ -339,9 +356,7 @@ def _train_fleet_dictionary(machine, seed, planted):
                      noise_std=NOISE_MULT[machine] * RECOVERY_NOISE, seed=seed)
     fleet, _ = generate_fleet([spec], segments=500,
                               segment_len=RECOVERY_BLOCK, cadence=FLEET_CADENCE)
-    blocks = [preprocess(s) for s in fleet[machine]]
-    d0 = init_pseudorandom(num_atoms=3, core_len=50, pad=10, seed=5)
-    return train_baseline(blocks, d0, FLEET_CODING, FLEET_TRAIN_LEARN).dictionary
+    return _train([preprocess(s) for s in fleet[machine]], FLEET_TRAIN).dictionary
 
 
 def _fleet_monitor_specs():
@@ -358,9 +373,7 @@ def _fleet_monitor_specs():
 
 
 def _monitor_fleet_machine(fleet, machine, start, baseline):
-    stream = [preprocess(s) for s in fleet[machine]]
-    records = [r for _, r, _ in monitor_segments(stream, start, FLEET_CODING,
-                                                 FLEET_MONITOR_LEARN, baseline=baseline)]
+    records = [r for _, r, _ in monitor_machine(fleet[machine], FLEET_MONITOR, baseline, start)]
     timestamps = np.array([r.timestamp for r in records])
     distance = np.array([r.distance_deg for r in records])
     fidelity = np.array([r.fidelity_db for r in records])

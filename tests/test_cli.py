@@ -33,6 +33,7 @@ from vibdict.metrics import (
     save_history_csv,
     save_indicator_csv,
 )
+from vibdict.synth import FaultSpec, SynthSpec, default_planted_atoms, generate_fleet, write_fleet
 
 from oracles import MALFORMED_VDCT, vdct_bytes
 
@@ -306,6 +307,29 @@ class TestMonitor:
                 save_code_csv(code, str(lib / "code.csv"))
                 assert ((lib / "code.csv").read_bytes()
                         == (out / f"{machine}_codes" / f"{segment.timestamp}.csv").read_bytes())
+
+    def test_history_is_monitor_machine_records(self, tmp_path):
+        """The shell around ``fleet.monitor_machine`` adds only I/O.
+
+        One faulted machine of the fleet criterion's shape: 1,024-sample
+        segments and ``--sparsity`` 1 - 8/1024, which codes 8 placements each.
+        """
+        planted = default_planted_atoms(count=3, length=50)
+        spec = SynthSpec("m00", planted_atoms=planted, instance_rate=5.0,
+                         amplitude_dist=(3.0, 0.5), noise_std=0.057,
+                         fault=FaultSpec(20 * 3600, 149, 1.5, 0.8), seed=102)
+        segments, windows = generate_fleet([spec], segments=40, segment_len=1024, cadence=3600)
+        write_fleet(segments, windows, str(tmp_path / "fleet"), "csv")
+        baseline = Dictionary(tuple(Atom(w, i) for i, w in enumerate(planted)))
+        save_dictionary(baseline, str(tmp_path / "m00.vdct"))
+        argv = ["monitor", "--input", str(tmp_path / "fleet"), "--output", str(tmp_path / "mon"),
+                "--baseline", str(tmp_path / "m00.vdct"), "--atoms", "3",
+                "--sparsity", "0.9921875", "--eta", "1e-4", "--rms-gate", "0"]
+        assert cli.main(argv) == 0
+        settings = cli.build_parser().parse_args(argv)
+        records = [r for _, r, _ in fleet.monitor_machine(segments["m00"], settings, baseline)]
+        assert list(load_history_csv(str(tmp_path / "mon" / "m00_history.csv"))) == records
+        assert [r.n_instances for r in records] == [8] * 40
 
     def test_jobs_two_matches_serial_bytewise(self, small_fleet, baseline, tmp_path, capsys):
         outputs = []
@@ -905,7 +929,9 @@ class TestConfigHandling:
         # read_key_values strips each value, so the replay would read 'fl'.
         ("fl ", "it starts or ends with whitespace"),
         (" fl", "it starts or ends with whitespace"),
-    ], ids=["line-break", "trailing-blank", "leading-blank"])
+        # Python reads an argument's byte that is not UTF-8 as a lone surrogate.
+        ("in\udcffdir", "UTF-8 cannot encode it"),
+    ], ids=["line-break", "trailing-blank", "leading-blank", "undecodable-byte"])
     def test_path_that_would_not_replay_rejected(self, tmp_path, capsys, path, reason):
         out = tmp_path / "out"
         assert run("train", "--input", path, "--output", out) == 2

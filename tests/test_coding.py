@@ -64,6 +64,19 @@ class TestBudget:
         assert (instance_budget(segment_len, CodingConfig("mp", sparsity=sparsity))
                 == fraction_budget(segment_len, sparsity))
 
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(0, 16).flatmap(
+        lambda j: st.tuples(st.just(2**j), st.integers(1, 2**j))))
+    def test_one_minus_k_over_n_gives_k_on_powers_of_two(self, case):
+        """``--sparsity`` 1 - k/n gives exactly k placements when n = 2**j, j <= 16.
+
+        So a fixed count needs no flag of its own at these lengths. It is
+        exact no further: at n = 2**17, 1 - 3/n is 0.9999771118164062,
+        which gives 4.
+        """
+        n, k = case
+        assert instance_budget(n, CodingConfig("mp", sparsity=1 - k / n)) == k
+
     def test_override_takes_precedence(self):
         cfg = CodingConfig("mp", sparsity=0.9, n_instances=1600)
         assert instance_budget(16384, cfg) == 1600

@@ -553,8 +553,9 @@ def _save_labels(path, machine):
 
 
 # Pieces of text that a reader splits at, strips, skips or takes for a
-# comment, and plain ones, so that the writers accept some of it.
-PIECES = [",", "#", "=", " ", "\t", "\x85", "\u2028", "", "\n", "\r"]
+# comment, a lone surrogate that UTF-8 cannot encode, and plain ones, so
+# that the writers accept some of it.
+PIECES = [",", "#", "=", " ", "\t", "\x85", "\u2028", "", "\n", "\r", "\ud800"]
 TEXT = st.lists(st.sampled_from(PIECES) | st.sampled_from(["a", "1", "m00"]),
                 max_size=4).map("".join)
 
