@@ -27,8 +27,8 @@ _EXPORTS = {
     "errors": ("ConfigError", "DataError", "NumericError", "VibdictError"),
     "ingest": ("SegmentGate", "SignalSegment", "gate_by_rms", "load_segments", "preprocess",
                "rms", "sample_blocks"),
-    "learning": ("LearnConfig", "MonitorState", "TrainResult", "gradient_update",
-                 "monitor_segments", "monitor_step", "train_baseline"),
+    "learning": ("LearnConfig", "TrainResult", "gradient_update", "monitor_segments",
+                 "train_baseline"),
     "metrics": ("HistoryRecord", "IndicatorSeries", "atom_coherence", "atom_similarity_beta",
                 "dictionary_distance", "fidelity_db", "lowpass", "mad_scores", "mad_series"),
     "synth": ("FaultSpec", "SynthSpec", "default_fleet_specs", "default_planted_atoms",

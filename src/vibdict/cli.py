@@ -113,6 +113,8 @@ def cmd_train(args) -> int:
         raise ConfigError("atoms and core_len must be >= 1, pad >= 0")
     if args.train_blocks < 1:
         raise ConfigError("train_blocks must be >= 1")
+    if args.seed < 0:  # numpy seeds only from non-negative integers
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     if args.block_len < 2:  # a block of one sample has no variance to standardize
         raise ConfigError("block_len must be >= 2")
     if not args.input or not args.output:
@@ -280,6 +282,8 @@ def cmd_synth(args) -> int:
 
     if not args.output:
         raise ConfigError("synth requires --output")
+    if args.machines < 1:  # before --fault-machine, whose range it sets
+        raise ConfigError("machines must be >= 1")
     if args.fault_machine < -1:
         raise ConfigError(f"--fault-machine must be >= -1 (-1 for none), got {args.fault_machine}")
     if args.fault_machine >= args.machines:

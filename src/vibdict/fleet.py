@@ -98,10 +98,10 @@ def _load_baseline(path: str, atoms: int):
 
 def monitor_machine(segments: list[ingest.SignalSegment], settings: argparse.Namespace,
                     own: dictionary.Dictionary, live: dictionary.Dictionary | None = None):
-    """The lazy ``(state, record, code)`` steps of ``vibdict monitor`` over raw segments.
+    """The lazy ``(dictionary, record, code)`` steps of ``vibdict monitor`` over raw segments.
 
-    ``settings`` are the command's resolved flags; ``live`` (``own`` if None) codes and
-    ``own`` is the distance reference. Two segments at one timestamp raise ValueError now.
+    ``settings`` are the command's resolved flags; ``live`` (``own`` if None) codes first
+    and ``own`` is the distance reference. Two segments at one timestamp raise ValueError now.
     """
     coding_cfg, learn_cfg, gate = coder_configs(settings)
     if settings.mode in ("frozen", "foreign"):
@@ -129,8 +129,7 @@ def monitor_one(task: MachineTask) -> tuple[int, metrics.HistoryRecord | None]:
     if cfg.dump_codes:
         os.makedirs(codes_dir, exist_ok=True)
     final, records = live, []
-    for state, record, code in steps:
-        final = state.dictionary
+    for final, record, code in steps:
         records.append(record)
         if cfg.dump_codes:
             coding.save_code_csv(code, os.path.join(codes_dir, f"{record.timestamp}.csv"))

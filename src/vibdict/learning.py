@@ -1,4 +1,4 @@
-"""Online gradient adaptation of the dictionary and monitoring state.
+"""Online gradient adaptation of the dictionary, for training and monitoring.
 
 After coding a block, each atom that was used moves along the gradient of
 the Gaussian log-likelihood of the residual with respect to its waveform:
@@ -102,6 +102,24 @@ def _raise_if_outgrown(live: Dictionary, start: Dictionary, segment: SignalSegme
         )
 
 
+def _adapt(segments: Iterable[SignalSegment], dictionary: Dictionary, coding_cfg: CodingConfig,
+           learn_cfg: LearnConfig) -> Iterator[tuple[SignalSegment, SparseCode, Dictionary]]:
+    """Code each segment with the live dictionary, then take one gradient step.
+
+    Yields ``(segment, code, stepped dictionary)``, pulling the next segment
+    only when asked. An atom that grows past a segment raises NumericError.
+    """
+    start = dictionary
+    for segment in segments:
+        try:
+            code = encode(segment, dictionary, coding_cfg)
+        except AtomFitError:
+            _raise_if_outgrown(dictionary, start, segment, learn_cfg.eta)
+            raise
+        dictionary = gradient_update(dictionary, code, learn_cfg)
+        yield segment, code, dictionary
+
+
 @dataclass(frozen=True, eq=False)
 class TrainResult:
     """Outcome of baseline training: final dictionary plus diagnostics."""
@@ -121,87 +139,32 @@ def train_baseline(
 
     Blocks are visited in order; each is coded against the current
     dictionary, the per-block fidelity is recorded, and the dictionary is
-    updated from the code. An atom that grows past a block raises
-    NumericError.
+    updated from the code. A growth event is one atom whose length a step
+    changed. An atom that grows past a block raises NumericError.
     """
     if not blocks:
         raise ValueError("need at least one training block")
-    fidelities = np.empty(len(blocks))
-    growth_events, start = 0, dictionary
-    for i, block in enumerate(blocks):
-        try:
-            code = encode(block, dictionary, coding_cfg)
-        except AtomFitError:
-            _raise_if_outgrown(dictionary, start, block, learn_cfg.eta)
-            raise
-        fidelities[i] = fidelity_db(block.samples, code.residual)
-        before = {atom.id: len(atom) for atom in dictionary.atoms}
-        dictionary = gradient_update(dictionary, code, learn_cfg)
-        growth_events += sum(
-            1 for atom in dictionary.atoms if len(atom) != before[atom.id]
-        )
-    return TrainResult(dictionary, fidelities, growth_events)
+    fidelities, growth_events = [], 0
+    for block, code, stepped in _adapt(blocks, dictionary, coding_cfg, learn_cfg):
+        fidelities.append(fidelity_db(block.samples, code.residual))
+        growth_events += sum(len(a) != len(b) for a, b in zip(stepped.atoms, dictionary.atoms))
+        dictionary = stepped
+    return TrainResult(dictionary, np.array(fidelities), growth_events)
 
 
-@dataclass(frozen=True, eq=False)
-class MonitorState:
-    """Evolving per-machine monitoring state.
+def monitor_segments(segments: Iterable[SignalSegment], dictionary: Dictionary,
+                     coding_cfg: CodingConfig, learn_cfg: LearnConfig,
+                     baseline: Dictionary | None = None,
+                     ) -> Iterator[tuple[Dictionary, HistoryRecord, SparseCode]]:
+    """Code and step over any iterable of segments, lazily and in order.
 
-    ``dictionary`` is the live (possibly adapting) dictionary and
-    ``baseline`` the fixed reference that distances are measured against.
-    The state keeps no history, so its size does not grow with the stream:
-    each step hands its record to the caller.
+    Yields ``(dictionary, record, code)`` per segment: the dictionary stepped
+    from that code, and a record whose distance runs from it to ``baseline``
+    (by default the starting dictionary; pass another for a foreign
+    reference). An atom that grows past a segment raises NumericError.
     """
-
-    dictionary: Dictionary
-    baseline: Dictionary
-
-
-def monitor_step(
-    state: MonitorState,
-    segment: SignalSegment,
-    coding_cfg: CodingConfig,
-    learn_cfg: LearnConfig,
-) -> tuple[MonitorState, HistoryRecord, SparseCode]:
-    """Process one monitoring segment; return (advanced state, record, code).
-
-    Codes the segment with the live dictionary, then records fidelity and
-    the distance of the *updated* dictionary from the baseline. With
-    ``eta = 0`` the live dictionary never changes and the distance stays
-    constant within float reproducibility.
-    """
-    code = encode(segment, state.dictionary, coding_cfg)
-    fid = fidelity_db(segment.samples, code.residual)
-    updated = gradient_update(state.dictionary, code, learn_cfg)
-    record = HistoryRecord(
-        timestamp=segment.timestamp,
-        fidelity_db=fid,
-        distance_deg=dictionary_distance(updated, state.baseline),
-        n_instances=len(code.instances),
-    )
-    return MonitorState(updated, state.baseline), record, code
-
-
-def monitor_segments(
-    segments: Iterable[SignalSegment],
-    dictionary: Dictionary,
-    coding_cfg: CodingConfig,
-    learn_cfg: LearnConfig,
-    baseline: Dictionary | None = None,
-) -> Iterator[tuple[MonitorState, HistoryRecord, SparseCode]]:
-    """Run :func:`monitor_step` over a segment stream, lazily and in order.
-
-    Yields ``(state, record, code)`` as each segment is processed, pulling
-    the next segment only when asked, so any iterable of segments works.
-    ``baseline`` defaults to the starting dictionary, which is the usual
-    own-baseline setup; pass a different dictionary to measure against a
-    foreign reference. An atom that grows past a segment raises NumericError.
-    """
-    state = MonitorState(dictionary, baseline if baseline is not None else dictionary)
-    for segment in segments:
-        try:
-            state, record, code = monitor_step(state, segment, coding_cfg, learn_cfg)
-        except AtomFitError:
-            _raise_if_outgrown(state.dictionary, dictionary, segment, learn_cfg.eta)
-            raise
-        yield state, record, code
+    baseline = dictionary if baseline is None else baseline
+    for segment, code, stepped in _adapt(segments, dictionary, coding_cfg, learn_cfg):
+        record = HistoryRecord(segment.timestamp, fidelity_db(segment.samples, code.residual),
+                               dictionary_distance(stepped, baseline), len(code.instances))
+        yield stepped, record, code

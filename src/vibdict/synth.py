@@ -193,6 +193,8 @@ def default_fleet_specs(
     """
     if machines < 1:
         raise ValueError("machines must be >= 1")
+    if seed < 0:  # numpy seeds only from non-negative integers
+        raise ValueError(f"seed must be >= 0, got {seed}")
     atoms = tuple(planted_atoms) if planted_atoms is not None else default_planted_atoms()
     specs = []
     for k in range(machines):

@@ -298,7 +298,7 @@ class TestMonitor:
                                           LearnConfig(eta=1e-3)))
             assert len(steps) == len(prepared) > 0
             save_history_csv([record for _, record, _ in steps], str(lib / "history.csv"))
-            save_dictionary(steps[-1][0].dictionary, str(lib / "final.vdct"))
+            save_dictionary(steps[-1][0], str(lib / "final.vdct"))
             assert ((lib / "history.csv").read_bytes()
                     == (out / f"{machine}_history.csv").read_bytes())
             assert ((lib / "final.vdct").read_bytes()
@@ -1285,7 +1285,7 @@ class TestFlagErrors:
 
     @pytest.mark.parametrize("extra, message", [
         (["--machines", 0, "--fault-machine", -1], "machines must be >= 1"),
-        (["--machines", 0], "fault machine index 0 out of range for 0 machines"),
+        (["--machines", 0], "machines must be >= 1"),
         (["--segments", 0], "segments, segment_len and cadence must be positive"),
         (["--segment-len", -1], "segments, segment_len and cadence must be positive"),
         (["--cadence", 0], "segments, segment_len and cadence must be positive"),
@@ -1293,11 +1293,24 @@ class TestFlagErrors:
         (["--impulse-period", 0], "impulse_period must be >= 1"),
         (["--impulse-decay", 1], "impulse_decay must be in (0, 1)"),
         (["--impulse-amp=-inf"], "impulse_amp must be finite, got -inf"),
+        # The machine count sets the range of --fault-machine, so it is checked first.
+        (["--machines", 0, "--fault-machine", 2], "machines must be >= 1"),
+        (["--machines", -3, "--fault-machine", -5], "machines must be >= 1"),
     ])
     def test_synth(self, tmp_path, capsys, extra, message):
         out = tmp_path / "fleet"
         self.expect(capsys, ["synth", "--output", out, "--machines", 2, "--segments", 4,
                              "--segment-len", 256, "--fault-onset-segment", 1, *extra], message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_negative_seed(self, small_fleet, tmp_path, capsys, command):
+        # numpy seeds only from non-negative integers; the run stops before it writes.
+        out = tmp_path / "out"
+        argv = train_args(small_fleet, out) if command == "train" else [
+            "synth", "--output", out, "--machines", 2, "--segments", 4, "--segment-len", 256,
+            "--fault-onset-segment", 1]
+        self.expect(capsys, [*argv, "--seed", -1], "seed must be >= 0, got -1")
         assert not out.exists()
 
 

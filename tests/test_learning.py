@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -9,14 +7,18 @@ from vibdict.errors import AtomFitError, NumericError
 from vibdict.ingest import SignalSegment, preprocess
 from vibdict.learning import (
     LearnConfig,
-    MonitorState,
     gradient_directions,
     gradient_update,
     monitor_segments,
-    monitor_step,
     train_baseline,
 )
-from vibdict.metrics import HistoryRecord, dictionary_distance, load_history_csv, save_history_csv
+from vibdict.metrics import (
+    HistoryRecord,
+    dictionary_distance,
+    fidelity_db,
+    load_history_csv,
+    save_history_csv,
+)
 
 
 def log_likelihood_term(segment, instances, dictionary, noise_var):
@@ -207,7 +209,7 @@ class TestMonitor:
         flat = Dictionary((Atom(unit_normalize(np.ones(20)), 0),))
         steps = monitor_segments(self.stream(np.random.default_rng(7), n=30), flat,
                                  CodingConfig("mp", n_instances=1), LearnConfig(1e-3))
-        assert next(steps)[0].dictionary.atoms[0].waveform.size == 40
+        assert next(steps)[0].atoms[0].waveform.size == 40
         with pytest.raises(NumericError, match=r"^atom 0 grew to length 40 .* \(source m, "
                                                r"t=110\); the learning rate --eta 0\.001"):
             next(steps)
@@ -219,7 +221,7 @@ class TestMonitor:
             self.stream(rng), d, CodingConfig("mp", n_instances=6), LearnConfig(eta=0.0)
         ))
         records = [record for _, record, _ in steps]
-        assert steps[-1][0].dictionary is d
+        assert steps[-1][0] is d
         assert all(r.distance_deg == 0.0 for r in records)
         assert [r.timestamp for r in records] == [100, 110, 120, 130, 140, 150]
 
@@ -230,20 +232,9 @@ class TestMonitor:
             self.stream(rng, count=10), d,
             CodingConfig("mp", n_instances=6), LearnConfig(eta=5e-2),
         ))
-        state, record, _ = steps[-1]
+        final, record, _ = steps[-1]
         assert record.distance_deg > 0.0
-        assert state.dictionary.generation == 10
-
-    def test_distance_measured_after_update(self):
-        rng = np.random.default_rng(8)
-        d = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=1)
-        seg = self.stream(rng, count=1)[0]
-        state = MonitorState(d, d)
-        state, record, code = monitor_step(state, seg, CodingConfig("mp", n_instances=6),
-                                           LearnConfig(eta=5e-2))
-        expected = dictionary_distance(state.dictionary, d)
-        assert record.distance_deg == pytest.approx(expected, abs=1e-12)
-        assert record.n_instances == len(code.instances)
+        assert final.generation == 10
 
     def test_foreign_baseline_reference(self):
         rng = np.random.default_rng(9)
@@ -256,26 +247,6 @@ class TestMonitor:
         expected = dictionary_distance(foreign, own)
         for _, r, _ in steps:
             assert r.distance_deg == pytest.approx(expected, abs=1e-12)
-
-    def test_state_holds_no_history(self):
-        assert [f.name for f in dataclasses.fields(MonitorState)] == ["dictionary", "baseline"]
-
-    def test_yields_one_step_per_segment_in_order(self):
-        rng = np.random.default_rng(10)
-        d = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=1)
-        stream = self.stream(rng, count=5)
-        coding_cfg, learn_cfg = CodingConfig("mp", n_instances=6), LearnConfig(eta=5e-2)
-        steps = list(monitor_segments(stream, d, coding_cfg, learn_cfg))
-        assert len(steps) == len(stream)
-        state = MonitorState(d, d)
-        for segment, (got_state, got_record, got_code) in zip(stream, steps):
-            state, record, code = monitor_step(state, segment, coding_cfg, learn_cfg)
-            assert got_record == record
-            assert got_record.timestamp == segment.timestamp
-            assert got_code.instances == code.instances
-            assert got_state.baseline is d
-            for a, b in zip(got_state.dictionary.atoms, state.dictionary.atoms):
-                np.testing.assert_array_equal(a.waveform, b.waveform)
 
     def test_pulls_segments_lazily(self):
         rng = np.random.default_rng(11)
@@ -293,6 +264,63 @@ class TestMonitor:
                 seen.append(record.timestamp)
         assert seen == [100, 110, 120]
 
+
+def stepwise_oracle(segments, dictionary, coding_cfg, learn_cfg, baseline):
+    """The plain loop: encode, fidelity_db, gradient_update, dictionary_distance per segment.
+
+    Returns the (stepped dictionary, record, code) of every segment and the
+    number of atoms whose length a step changed.
+    """
+    steps, growth_events = [], 0
+    for segment in segments:
+        code = encode(segment, dictionary, coding_cfg)
+        fidelity = fidelity_db(segment.samples, code.residual)
+        lengths = {atom.id: len(atom) for atom in dictionary.atoms}
+        dictionary = gradient_update(dictionary, code, learn_cfg)
+        growth_events += sum(len(atom) != lengths[atom.id] for atom in dictionary.atoms)
+        record = HistoryRecord(segment.timestamp, fidelity,
+                               dictionary_distance(dictionary, baseline), len(code.instances))
+        steps.append((dictionary, record, code))
+    return steps, growth_events
+
+
+def assert_same_dictionary(got, expected):
+    assert got.generation == expected.generation
+    assert [atom.id for atom in got.atoms] == [atom.id for atom in expected.atoms]
+    for a, b in zip(got.atoms, expected.atoms):
+        np.testing.assert_array_equal(a.waveform, b.waveform, strict=True)
+
+
+class TestOneAdaptationLoop:
+    """Training and monitoring both equal the stepwise oracle, bit for bit."""
+
+    @pytest.mark.parametrize("algorithm", ["mp", "omp"])
+    def test_matches_stepwise_oracle(self, algorithm):
+        rng = np.random.default_rng(12)
+        stream = [preprocess(SignalSegment(rng.standard_normal(256), 1000.0, 100 + 10 * k, "m"))
+                  for k in range(5)]
+        start = init_pseudorandom(num_atoms=3, core_len=20, pad=3, seed=1)
+        foreign = init_pseudorandom(num_atoms=3, core_len=20, pad=3, seed=2)
+        coding_cfg, learn_cfg = CodingConfig(algorithm, n_instances=6), LearnConfig(eta=1e-2)
+
+        expected, growth_events = stepwise_oracle(stream, start, coding_cfg, learn_cfg, start)
+        assert growth_events > 0
+        result = train_baseline(stream, start, coding_cfg, learn_cfg)
+        np.testing.assert_array_equal(
+            result.fidelity_db, [record.fidelity_db for _, record, _ in expected], strict=True)
+        assert result.growth_events == growth_events
+        assert_same_dictionary(result.dictionary, expected[-1][0])
+
+        for baseline, reference in ((None, start), (foreign, foreign)):
+            expected, _ = stepwise_oracle(stream, start, coding_cfg, learn_cfg, reference)
+            got = list(monitor_segments(stream, start, coding_cfg, learn_cfg, baseline))
+            assert len(got) == len(expected)
+            for (dictionary, record, code), (want_dict, want_record, want_code) in zip(
+                    got, expected):
+                assert record == want_record
+                assert code.instances == want_code.instances
+                np.testing.assert_array_equal(code.residual, want_code.residual, strict=True)
+                assert_same_dictionary(dictionary, want_dict)
 
 class TestHistoryCsv:
     def test_round_trip(self, tmp_path):
