@@ -14,12 +14,10 @@ from vibdict import (
     atom_coherence,
     default_planted_atoms,
     generate_fleet,
-    init_pseudorandom,
     preprocess,
-    train_baseline,
 )
 from vibdict.cli import build_parser
-from vibdict.fleet import coder_configs
+from vibdict.fleet import train_machine
 
 # `vibdict train` flags; --sparsity 1 - 10/2048 codes 10 placements per block.
 TRAIN = build_parser().parse_args(
@@ -45,9 +43,7 @@ def main():
     fleet, _ = generate_fleet([spec], segments=500, segment_len=2048, cadence=3600)
     blocks = [preprocess(s) for s in fleet["demo"]]
 
-    start = init_pseudorandom(TRAIN.atoms, TRAIN.core_len, TRAIN.pad, TRAIN.seed)
-    coding, learn, _ = coder_configs(TRAIN)
-    result = train_baseline(blocks, start, coding, learn)
+    result = train_machine(blocks, TRAIN)
 
     print(f"trained on {len(blocks)} blocks, "
           f"{result.growth_events} atom growth events")

@@ -18,13 +18,11 @@ from vibdict import (
     SynthSpec,
     default_planted_atoms,
     generate_fleet,
-    init_pseudorandom,
     mad_series,
     preprocess,
-    train_baseline,
 )
 from vibdict.cli import build_parser
-from vibdict.fleet import coder_configs, monitor_machine
+from vibdict.fleet import monitor_machine, train_machine
 
 SEGMENTS = 120
 ONSET = 60
@@ -48,13 +46,11 @@ def healthy_spec(machine, seed):
 def main():
     machines = sorted(NOISE)
     baselines = {}
-    coding, learn, _ = coder_configs(TRAIN)
     for k, machine in enumerate(machines):
         fleet, _ = generate_fleet([healthy_spec(machine, 600 + k)],
                                   segments=500, segment_len=2048, cadence=CADENCE)
         blocks = [preprocess(s) for s in fleet[machine]]
-        d0 = init_pseudorandom(TRAIN.atoms, TRAIN.core_len, TRAIN.pad, TRAIN.seed)
-        baselines[machine] = train_baseline(blocks, d0, coding, learn).dictionary
+        baselines[machine] = train_machine(blocks, TRAIN).dictionary
     print(f"trained {len(baselines)} baselines")
 
     fault = FaultSpec(onset=ONSET * CADENCE, impulse_period=149,

@@ -19,16 +19,14 @@ from vibdict import (
     default_planted_atoms,
     gabor_atom,
     generate_fleet,
-    init_pseudorandom,
     min_diff_series,
     preprocess,
     roc_curve,
     series_samples,
     slope_indicator,
-    train_baseline,
 )
 from vibdict.cli import build_parser
-from vibdict.fleet import coder_configs, monitor_machine
+from vibdict.fleet import monitor_machine, train_machine
 
 SEGMENTS = 150
 ONSET = 60
@@ -51,10 +49,7 @@ def fit_dictionary(machine, seed, planted):
                      amplitude_dist=(3.0, 0.5),
                      noise_std=NOISE[machine] * NOISE_REF, seed=seed)
     fleet, _ = generate_fleet([spec], segments=400, segment_len=2048, cadence=CADENCE)
-    blocks = [preprocess(s) for s in fleet[machine]]
-    d0 = init_pseudorandom(TRAIN.atoms, TRAIN.core_len, TRAIN.pad, TRAIN.seed)
-    coding, learn, _ = coder_configs(TRAIN)
-    return train_baseline(blocks, d0, coding, learn).dictionary
+    return train_machine([preprocess(s) for s in fleet[machine]], TRAIN).dictionary
 
 
 def nearest_point(curve, fpr):

@@ -125,8 +125,8 @@ def cmd_train(args) -> int:
             f"do not fit in block_len={args.block_len}"
         )
     fleet.coder_configs(args)
-    write_effective_config(args, args.output)
     machines = _machine_dirs(args.input)
+    write_effective_config(args, args.output)
     tasks = [fleet.MachineTask(machine, indir, args) for machine, indir in machines]
     results = fleet.run_per_machine(fleet.train_one, tasks, args.jobs)
     for (machine, _), (fidelity, growth_events) in zip(machines, results):
@@ -151,8 +151,8 @@ def cmd_monitor(args) -> int:
     if args.mode != "foreign" and args.foreign is not None:
         raise ConfigError(f"--foreign is read only by --mode foreign, got --mode {args.mode}")
     fleet.coder_configs(args)
-    write_effective_config(args, args.output)
     machines = _machine_dirs(args.input)
+    write_effective_config(args, args.output)
     tasks = [fleet.MachineTask(machine, indir, args) for machine, indir in machines]
     results = fleet.run_per_machine(fleet.monitor_one, tasks, args.jobs)
     for (machine, _), (count, last) in zip(machines, results):

@@ -1,10 +1,12 @@
 """Per-machine work of ``train`` and ``monitor``, and the fan-out that runs it.
 
-``train_one`` and ``monitor_one`` each run one machine's whole stage from
-a :class:`MachineTask`: load, gate and standardise its segments, code
-them, and write its outputs; ``monitor_machine`` is ``monitor``'s part in
-between. ``run_per_machine`` runs a worker over a fleet's tasks, one
-forked child per machine, and returns the results in task order.
+Each command has a core over in-memory data and its resolved flags:
+``train_machine`` over standardised blocks in the order given,
+``monitor_machine`` over raw segments. Its shell, ``train_one`` or
+``monitor_one``, adds one machine's file I/O, and for ``train`` the gate,
+``preprocess`` and the block draw (``ingest.sample_blocks`` at
+``machine_seed``). ``run_per_machine`` runs a shell over a fleet's tasks,
+one forked child per machine, and returns the results in task order.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import ConfigError, ContentError, DataError
 
 if typing.TYPE_CHECKING:
     import argparse
+    from collections.abc import Iterable
 
 
 @dataclass(frozen=True)
@@ -61,10 +64,22 @@ def coder_configs(
         raise ConfigError(str(exc)) from exc
 
 
+def train_machine(blocks: Iterable[ingest.SignalSegment],
+                  settings: argparse.Namespace) -> learning.TrainResult:
+    """Train over standardised blocks in the order given, under ``vibdict train``'s flags.
+
+    The flags set the seed atoms, coder and learner; blocks are pulled one at a time.
+    """
+    coding_cfg, learn_cfg, _ = coder_configs(settings)
+    init = dictionary.init_pseudorandom(settings.atoms, settings.core_len, settings.pad,
+                                        settings.seed)
+    return learning.train_baseline(blocks, init, coding_cfg, learn_cfg)
+
+
 def train_one(task: MachineTask) -> tuple[float, int]:
     """Train and save one machine's baseline; return (final fidelity dB, growth events)."""
     cfg, machine = task.settings, task.machine
-    coding_cfg, learn_cfg, gate = coder_configs(cfg)
+    gate = coder_configs(cfg)[2]
     segments = ingest.load_segments(task.indir, cfg.format)
     gated = ingest.gate_by_rms(segments, gate)
     usable = [s for s in [ingest.preprocess(s) for s in gated] if len(s) >= cfg.block_len]
@@ -75,14 +90,9 @@ def train_one(task: MachineTask) -> tuple[float, int]:
             f"{len(usable)} long enough for block_len={cfg.block_len})"
         )
     del segments, gated  # free the raw samples before training
-    blocks = ingest.sample_blocks(
-        usable, cfg.block_len, cfg.train_blocks, machine_seed(cfg.seed, machine)
-    )
-    init = dictionary.init_pseudorandom(cfg.atoms, cfg.core_len, cfg.pad, cfg.seed)
-    result = learning.train_baseline(blocks, init, coding_cfg, learn_cfg)
-    dictionary.save_dictionary(
-        result.dictionary, os.path.join(cfg.output, f"{machine}.vdct")
-    )
+    result = train_machine(ingest.sample_blocks(usable, cfg.block_len, cfg.train_blocks,
+                                                machine_seed(cfg.seed, machine)), cfg)
+    dictionary.save_dictionary(result.dictionary, os.path.join(cfg.output, f"{machine}.vdct"))
     log_path = os.path.join(cfg.output, f"{machine}_train_log.csv")
     ingest.write_table(log_path, "block,fidelity_db", enumerate(result.fidelity_db.tolist()))
     return float(result.fidelity_db[-1]), result.growth_events

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,12 +365,14 @@ def preprocess(segment: SignalSegment) -> SignalSegment:
 
 def sample_blocks(
     segments: list[SignalSegment], block_len: int, count: int, seed: int
-) -> list[SignalSegment]:
+) -> Iterator[SignalSegment]:
     """Draw ``count`` random contiguous blocks from a pool of segments.
 
     Each block comes from a uniformly chosen segment at a uniformly chosen
-    valid offset and is standardized before being returned. The draw order
-    is fixed by ``seed`` (PCG64), so identical inputs replay identically.
+    valid offset and is standardized. The arguments are checked now; the
+    blocks are drawn one at a time, as the returned iterator is read. The
+    draw order is fixed by ``seed`` (PCG64), so identical inputs replay
+    identically.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -383,16 +386,13 @@ def sample_blocks(
                 f"block_len {block_len} exceeds segment of length {len(seg)} "
                 f"(source {seg.source_id}, t={seg.timestamp})"
             )
-    rng = np.random.default_rng(seed)
-    blocks = []
-    for _ in range(count):
-        seg = segments[int(rng.integers(len(segments)))]
-        offset = int(rng.integers(len(seg) - block_len + 1))
-        block = SignalSegment(
-            seg.samples[offset : offset + block_len].copy(),
-            seg.sample_rate,
-            seg.timestamp,
-            seg.source_id,
-        )
-        blocks.append(preprocess(block))
-    return blocks
+
+    def draw():
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            seg = segments[int(rng.integers(len(segments)))]
+            offset = int(rng.integers(len(seg) - block_len + 1))
+            yield preprocess(SignalSegment(seg.samples[offset : offset + block_len].copy(),
+                                           seg.sample_rate, seg.timestamp, seg.source_id))
+
+    return draw()

@@ -130,25 +130,25 @@ class TrainResult:
 
 
 def train_baseline(
-    blocks: list[SignalSegment],
+    blocks: Iterable[SignalSegment],
     dictionary: Dictionary,
     coding_cfg: CodingConfig,
     learn_cfg: LearnConfig,
 ) -> TrainResult:
     """Alternate sparse coding and gradient steps over training blocks.
 
-    Blocks are visited in order; each is coded against the current
-    dictionary, the per-block fidelity is recorded, and the dictionary is
-    updated from the code. A growth event is one atom whose length a step
-    changed. An atom that grows past a block raises NumericError.
+    Blocks are pulled from any iterable, one at a time and in order; each
+    is coded against the current dictionary, its fidelity recorded, and the
+    dictionary updated from the code. A growth event is one atom whose
+    length a step changed. An atom that grows past a block raises NumericError.
     """
-    if not blocks:
-        raise ValueError("need at least one training block")
     fidelities, growth_events = [], 0
     for block, code, stepped in _adapt(blocks, dictionary, coding_cfg, learn_cfg):
         fidelities.append(fidelity_db(block.samples, code.residual))
         growth_events += sum(len(a) != len(b) for a, b in zip(stepped.atoms, dictionary.atoms))
         dictionary = stepped
+    if not fidelities:
+        raise ValueError("need at least one training block")
     return TrainResult(dictionary, np.array(fidelities), growth_events)
 
 

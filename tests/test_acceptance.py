@@ -6,8 +6,10 @@ visible in plain test logs even when pytest captures output. Criteria
 that share an expensive synthetic scenario reuse module-scoped fixtures;
 every scenario is seeded, so the whole suite is bitwise reproducible.
 Criteria 06-10 take every coder and learner setting from ``vibdict``
-command lines, and criteria 07, 08 and 10 monitor through
-``fleet.monitor_machine``, the steps that ``vibdict monitor`` runs.
+command lines. Criteria 06, 07, 08 and 10 train through
+``fleet.train_machine``, over blocks in order, and criteria 07, 08 and 10
+monitor through ``fleet.monitor_machine``: the cores of ``vibdict train``
+and ``vibdict monitor``.
 """
 
 import math
@@ -39,11 +41,10 @@ from vibdict import (
     reconstruct,
     roc_curve,
     slope_indicator,
-    train_baseline,
     unit_normalize,
 )
 from vibdict.cli import build_parser
-from vibdict.fleet import coder_configs, monitor_machine
+from vibdict.fleet import coder_configs, monitor_machine, train_machine
 from vibdict.learning import gradient_directions
 from vibdict.metrics import FIDELITY_CAP_DB
 
@@ -239,13 +240,6 @@ def _flags(command):
     return build_parser().parse_args(command.split())
 
 
-def _train(blocks, settings):
-    """Train over blocks in order with the coder, learner and seed atoms of ``settings``."""
-    coding_cfg, learn_cfg, _ = coder_configs(settings)
-    d0 = init_pseudorandom(settings.atoms, settings.core_len, settings.pad, settings.seed)
-    return train_baseline(blocks, d0, coding_cfg, learn_cfg)
-
-
 RECOVERY_BLOCK = 2048
 # --sparsity 1 - k/n codes exactly k placements per n samples: 10 per 2,048 here
 RECOVERY_SPARSITY = "0.9951171875"
@@ -271,7 +265,7 @@ def _planted_stream(seed, segments):
 def recovery_outcome():
     t0 = time.perf_counter()
     blocks = [preprocess(s) for s in _planted_stream(seed=77, segments=500)]
-    result = _train(blocks, RECOVERY_TRAIN)
+    result = train_machine(blocks, RECOVERY_TRAIN)
     return {
         "dictionary": result.dictionary,
         "planted": [Atom(w, i) for i, w in enumerate(default_planted_atoms(count=3, length=50))],
@@ -356,7 +350,7 @@ def _train_fleet_dictionary(machine, seed, planted):
                      noise_std=NOISE_MULT[machine] * RECOVERY_NOISE, seed=seed)
     fleet, _ = generate_fleet([spec], segments=500,
                               segment_len=RECOVERY_BLOCK, cadence=FLEET_CADENCE)
-    return _train([preprocess(s) for s in fleet[machine]], FLEET_TRAIN).dictionary
+    return train_machine([preprocess(s) for s in fleet[machine]], FLEET_TRAIN).dictionary
 
 
 def _fleet_monitor_specs():

@@ -22,7 +22,14 @@ from vibdict.dictionary import (
     unit_normalize,
 )
 from vibdict.errors import ConfigError, DataError, NumericError
-from vibdict.ingest import SegmentGate, gate_by_rms, load_segments, preprocess
+from vibdict.ingest import (
+    SegmentGate,
+    gate_by_rms,
+    load_segments,
+    preprocess,
+    sample_blocks,
+    write_table,
+)
 from vibdict.learning import LearnConfig, monitor_segments
 from vibdict.metrics import (
     IndicatorSeries,
@@ -152,6 +159,51 @@ class TestTrain:
         assert run(*args) == 2
         assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists() and not (tmp_path / "mon").exists()
+
+    @pytest.mark.parametrize("command", ["train", "monitor"])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_input_not_a_directory_writes_nothing(self, tmp_path, capsys, command, kind):
+        indir, out = tmp_path / "in", tmp_path / "out"
+        if kind == "file":
+            indir.write_text("")
+        args = train_args(indir, out)
+        if command == "monitor":
+            args = ["monitor", "--input", indir, "--baseline", tmp_path / "base",
+                    "--output", out]
+        assert run(*args) == 3
+        assert capsys.readouterr().err == (
+            f"data error: input path {str(indir)!r} is not a directory\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm, fmt", [("mp", "csv"), ("omp", "raw_f32le")])
+    def test_baseline_is_train_machine_result(self, tmp_path, algorithm, fmt):
+        """The shell around ``fleet.train_machine`` adds only I/O.
+
+        ``train_one`` loads, gates, standardises and length-filters each
+        machine's segments and draws its blocks with ``sample_blocks`` at
+        ``machine_seed``; the training is ``train_machine`` under the parsed flags.
+        """
+        fleet_dir, out, lib = tmp_path / "fleet", tmp_path / "base", tmp_path / "lib"
+        assert run("synth", "--output", fleet_dir, "--machines", 2, "--segments", 6,
+                   "--segment-len", 512, "--fault-machine", 1, "--fault-onset-segment", 3,
+                   "--seed", 11, "--format", fmt) == 0
+        argv = [str(a) for a in train_args(fleet_dir, out, algo=algorithm, format=fmt)]
+        assert cli.main(argv) == 0
+        settings = cli.build_parser().parse_args(argv)
+        lib.mkdir()
+        for machine in ("m00", "m01"):
+            segments = gate_by_rms(load_segments(str(fleet_dir / machine), fmt),
+                                   SegmentGate(settings.rms_gate))
+            usable = [s for s in map(preprocess, segments) if len(s) >= settings.block_len]
+            blocks = sample_blocks(usable, settings.block_len, settings.train_blocks,
+                                   fleet.machine_seed(settings.seed, machine))
+            result = fleet.train_machine(blocks, settings)
+            save_dictionary(result.dictionary, str(lib / "m.vdct"))
+            write_table(str(lib / "log.csv"), "block,fidelity_db",
+                        enumerate(result.fidelity_db.tolist()))
+            assert (lib / "m.vdct").read_bytes() == (out / f"{machine}.vdct").read_bytes()
+            assert ((lib / "log.csv").read_bytes()
+                    == (out / f"{machine}_train_log.csv").read_bytes())
 
     def test_insufficient_segments_reports_counts(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -932,7 +984,11 @@ class TestConfigHandling:
         # Python reads an argument's byte that is not UTF-8 as a lone surrogate.
         ("in\udcffdir", "UTF-8 cannot encode it"),
     ], ids=["line-break", "trailing-blank", "leading-blank", "undecodable-byte"])
-    def test_path_that_would_not_replay_rejected(self, tmp_path, capsys, path, reason):
+    def test_path_that_would_not_replay_rejected(self, tmp_path, monkeypatch, capsys, path,
+                                                 reason):
+        # The input directory exists, so the refused record is what stops the run.
+        monkeypatch.chdir(tmp_path)
+        os.mkdir(path)
         out = tmp_path / "out"
         assert run("train", "--input", path, "--output", out) == 2
         assert capsys.readouterr() == ("", f"config error: cannot write input={path!r} to "

@@ -1,3 +1,4 @@
+import ast
 import glob
 import os
 import subprocess
@@ -16,3 +17,23 @@ def test_demo_runs(demo, tmp_path):
     done = subprocess.run([sys.executable, demo], env=env, cwd=tmp_path, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("path", DEMOS + [os.path.join(ROOT, "tests", "test_acceptance.py")],
+                         ids=os.path.basename)
+def test_reaches_library_loops_only_through_fleet(path):
+    """Demos and verdicts train and monitor through ``fleet``'s cores, as ``vibdict`` does.
+
+    They neither import nor call the library loops that those cores wrap.
+    """
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"train_baseline", "monitor_segments"}

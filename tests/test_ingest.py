@@ -265,8 +265,8 @@ class TestSampleBlocks:
     def test_reproducible_and_standardized(self):
         rng = np.random.default_rng(5)
         segments = [make_segment(rng.standard_normal(400), t=k) for k in range(3)]
-        a = sample_blocks(segments, 64, 10, seed=99)
-        b = sample_blocks(segments, 64, 10, seed=99)
+        a = list(sample_blocks(segments, 64, 10, seed=99))
+        b = list(sample_blocks(segments, 64, 10, seed=99))
         assert len(a) == 10
         for block_a, block_b in zip(a, b):
             np.testing.assert_array_equal(block_a.samples, block_b.samples)
@@ -288,6 +288,17 @@ class TestSampleBlocks:
                     found = True
                     break
             assert found
+
+    def test_draws_each_block_as_it_is_read(self, monkeypatch):
+        import vibdict.ingest as ingest
+
+        rng = np.random.default_rng(7)
+        segments = [make_segment(rng.standard_normal(300), t=k) for k in range(2)]
+        drawn = []
+        monkeypatch.setattr(ingest, "preprocess", lambda block: drawn.append(block) or block)
+        blocks = sample_blocks(segments, 50, 3, seed=1)
+        assert drawn == []
+        assert next(blocks) is drawn[0] and len(drawn) == 1
 
     def test_too_long_block_names_segment(self):
         seg = make_segment(np.arange(10, dtype=float), t=42, source="short-one")

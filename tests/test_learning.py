@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -178,8 +180,27 @@ class TestTrainBaseline:
 
     def test_empty_blocks_rejected(self):
         d = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=0)
-        with pytest.raises(ValueError):
-            train_baseline([], d, CodingConfig("mp"), LearnConfig())
+        for blocks in ([], iter([])):
+            with pytest.raises(ValueError, match="^need at least one training block$"):
+                train_baseline(blocks, d, CodingConfig("mp"), LearnConfig())
+
+    def test_pulls_blocks_lazily(self):
+        """Each block is pulled when it is coded, and freed once the next one is."""
+        d = init_pseudorandom(num_atoms=2, core_len=8, pad=2, seed=1)
+        refs = []
+
+        def source():
+            rng = np.random.default_rng(11)
+            for k in range(3):
+                block = preprocess(SignalSegment(rng.standard_normal(80), 1000.0, k, "m"))
+                refs.append(weakref.ref(block))
+                yield block
+            del block
+            raise RuntimeError(f"source failed after 3 blocks; alive: "
+                               f"{[ref() is not None for ref in refs]}")
+
+        with pytest.raises(RuntimeError, match=r"after 3 blocks; alive: \[False, False, True\]"):
+            train_baseline(source(), d, CodingConfig("mp", n_instances=6), LearnConfig(eta=5e-2))
 
     def test_atom_grown_past_block_is_numeric_error(self):
         # A flat atom carries energy in both tails, so its first step grows
