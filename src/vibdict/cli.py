@@ -79,7 +79,6 @@ class _ConfigFile(argparse.Action):
 
 def write_effective_config(args, outdir: str) -> None:
     """Record the command's resolved flags, which ``--config`` reads back."""
-    os.makedirs(outdir, exist_ok=True)
     settings = [(key, value) for key, value in sorted(vars(args).items())
                 if key not in ("func", "command", "config") and value is not None]
     try:  # a path flag holding a line break
@@ -217,7 +216,6 @@ def cmd_indicators(args) -> int:
         elif not np.array_equal(times, first[1]):
             raise DataError(f"{path}: timestamps are not aligned with {first[0]}")
         smoothed[machine] = columns
-    os.makedirs(args.output, exist_ok=True)
     settings = {"time_constant": args.time_constant}
     for machine, columns in smoothed.items():
         for column, series in columns.items():

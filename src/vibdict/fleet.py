@@ -136,8 +136,6 @@ def monitor_one(task: MachineTask) -> tuple[int, metrics.HistoryRecord | None]:
     except ValueError as exc:  # two segments at one timestamp
         raise ContentError(f"{task.indir}: {exc}") from None
     codes_dir = os.path.join(cfg.output, f"{machine}_codes")
-    if cfg.dump_codes:
-        os.makedirs(codes_dir, exist_ok=True)
     final, records = live, []
     for final, record, code in steps:
         records.append(record)

@@ -20,8 +20,9 @@ and run configs) is written by :func:`write_table` or
 splits it into lines at ``\\n`` and ``\\r`` and strips each line. The
 readers (:func:`read_table`, :func:`read_key_values` and the segment CSV's)
 skip blank lines and take ``#`` lines for comments, split rows at ``,``, and
-strip each segment-header field, key and value. Before it opens a file, a
-writer refuses every value that this would change (:func:`_check_text`).
+strip each segment-header field, key and value. A writer refuses every
+value that this would change (:func:`_check_text`) before it makes the
+file's directory or opens the file, so a refused value leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def write_table(path: str, header: str, rows, comments=(), footer=()) -> None:
     field is written as ``str`` writes it, so pass Python ints, floats and
     strings: a float is then written as its shortest round-trip ``repr``.
     A value that would not read back as written (see :func:`_check_text`)
-    raises ValueError before the file is opened.
+    raises ValueError before the file's directory is made or the file opened.
     """
     comments, footer, rows = list(comments), list(footer), list(rows)
     for key, value in comments + footer:
@@ -251,6 +252,7 @@ def write_table(path: str, header: str, rows, comments=(), footer=()) -> None:
             for i, (name, value) in enumerate(zip(names, row)):
                 _check_text(path, name, value, ",", stripped=False, starts=i == 0,
                             ends=i == len(row) - 1)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"# {key}={value}\n" for key, value in comments)
         fh.write(f"{header}\n")
@@ -264,6 +266,7 @@ def write_key_values(path: str, items) -> None:
     for key, value in items:
         _check_text(path, "key", key, "=", starts=True)
         _check_text(path, key, value)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{key}={value}\n" for key, value in items)
 

@@ -186,6 +186,14 @@ def mad_series(series_by_machine: dict[str, IndicatorSeries]) -> dict[str, Indic
     }
 
 
+def _finite(name: str, value) -> float:
+    """``float(value)``; a NaN or an infinity raises ValueError naming ``name``."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number}")
+    return number
+
+
 def save_indicator_csv(series: IndicatorSeries, path: str, machine: str = "",
                        comments: dict | None = None) -> None:
     """Write an indicator series as :data:`INDICATOR_HEADER` rows.
@@ -200,8 +208,11 @@ def save_indicator_csv(series: IndicatorSeries, path: str, machine: str = "",
 
 
 def load_indicator_csv(path: str) -> tuple[IndicatorSeries, dict]:
-    """Read an indicator CSV written by :func:`save_indicator_csv` and its header comments."""
-    rows, meta = read_table(path, INDICATOR_HEADER, lambda t, v: (int(t), float(v)))
+    """Read an indicator CSV written by :func:`save_indicator_csv` and its header comments.
+
+    A value that is not a finite number raises DataError naming the file and line.
+    """
+    rows, meta = read_table(path, INDICATOR_HEADER, lambda t, v: (int(t), _finite("value", v)))
     try:
         series = IndicatorSeries(
             meta.get("kind", "indicator"),
@@ -215,12 +226,19 @@ def load_indicator_csv(path: str) -> tuple[IndicatorSeries, dict]:
 
 @dataclass(frozen=True)
 class HistoryRecord:
-    """One monitoring step: when, how well coded, how far from baseline."""
+    """One monitoring step: when, how well coded, how far from baseline.
+
+    A non-finite ``fidelity_db`` or ``distance_deg`` raises ValueError.
+    """
 
     timestamp: int
     fidelity_db: float
     distance_deg: float
     n_instances: int
+
+    def __post_init__(self):
+        _finite("fidelity_db", self.fidelity_db)
+        _finite("distance_deg", self.distance_deg)
 
 
 def save_history_csv(records, path: str) -> None:

@@ -218,10 +218,8 @@ def write_fleet(fleet: dict[str, list[SignalSegment]], windows, outdir: str,
     files, plus a top-level ``labels.csv``, so a synthetic fleet is
     indistinguishable from field data to the rest of the pipeline.
     """
-    os.makedirs(outdir, exist_ok=True)
     for machine, segs in sorted(fleet.items()):
         mdir = os.path.join(outdir, machine)
-        os.makedirs(mdir, exist_ok=True)
         for k, seg in enumerate(segs):
             if format == "csv":
                 save_segment_csv(seg, os.path.join(mdir, f"seg_{k:05d}.csv"))

@@ -520,6 +520,14 @@ class TestMonitor:
         first = files[0].read_text().splitlines()
         assert first[0] == "atom_id,offset,amplitude"
 
+    def test_dump_codes_with_nothing_coded_makes_no_codes_directory(self, small_fleet, baseline,
+                                                                     tmp_path):
+        out = tmp_path / "mon"
+        args = self.monitor_args(small_fleet / "m00", baseline / "m00.vdct", out, rms_gate=1e9)
+        assert run(*args, "--dump-codes") == 0
+        assert sorted(os.listdir(out)) == ["effective_config.txt", "m00_final.vdct",
+                                           "m00_history.csv"]
+
 
 class TestDefaultJobs:
     """Without --jobs, machines fan out over min(usable CPUs, machines) workers."""
@@ -879,6 +887,16 @@ class TestIndicatorsAndRoc:
         assert text.splitlines()[0] == "threshold,fpr,tpr"
         assert "# auc=1.0" in text
 
+    def test_outputs_go_to_directories_that_do_not_exist_yet(self, history_dir, tmp_path,
+                                                            small_fleet):
+        ind = tmp_path / "new" / "ind"
+        assert run("indicators", "--history", history_dir, "--output", ind) == 0
+        roc_path = tmp_path / "other" / "roc" / "roc.csv"
+        assert run("roc", "--indicators", ind / "m00_distance_mad.csv",
+                   ind / "m01_distance_mad.csv", "--labels", small_fleet / "labels.csv",
+                   "--output", roc_path) == 0
+        assert roc_path.read_text().splitlines()[0] == "threshold,fpr,tpr"
+
 
 class TestFileContentErrors:
     """Bad rows in a file that parses exit 3 with the file named on stderr."""
@@ -919,6 +937,35 @@ class TestFileContentErrors:
                         "100,10.0,0.5,3\n100,11.0,0.6,3\n")
         code = run("indicators", "--history", hist, "--output", tmp_path / "out")
         self.assert_data_error(code, capsys, path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("200,6.0,nan,103", "distance_deg must be finite, got nan"),
+        ("200,-inf,0.5,103", "fidelity_db must be finite, got -inf"),
+    ], ids=["distance-nan", "fidelity-inf"])
+    def test_history_non_finite_value_writes_nothing(self, tmp_path, capsys, row, message):
+        hist = tmp_path / "hist"
+        hist.mkdir()
+        for machine in ("m00", "m01"):
+            (hist / f"{machine}_history.csv").write_text(
+                "timestamp,fidelity_db,distance_deg,n_instances\n100,6.0,0.5,103\n"
+                + (f"{row}\n" if machine == "m01" else "200,6.0,0.5,103\n"))
+        out = tmp_path / "out"
+        assert run("indicators", "--history", hist, "--output", out) == 3
+        assert capsys.readouterr() == (
+            "", f"data error: {hist / 'm01_history.csv'}:3: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_indicator_non_finite_value(self, tmp_path, capsys, value):
+        path = tmp_path / "m00.csv"
+        path.write_text(f"timestamp,value\n100,0.5\n200,{value}\n")
+        labels = self.write_labels(tmp_path / "labels.csv",
+                                   ["m00,0,150,healthy", "m00,150,1000,faulty"])
+        out = tmp_path / "roc.csv"
+        assert run("roc", "--indicators", path, "--labels", labels, "--output", out) == 3
+        assert capsys.readouterr() == (
+            "", f"data error: {path}:3: value must be finite, got {value}\n")
+        assert not out.exists()
 
     def test_indicator_decreasing_timestamps(self, tmp_path, capsys):
         path = self.write_indicator(tmp_path / "m00.csv", [200, 100])
@@ -993,7 +1040,7 @@ class TestConfigHandling:
         assert run("train", "--input", path, "--output", out) == 2
         assert capsys.readouterr() == ("", f"config error: cannot write input={path!r} to "
                                            f"{out}/effective_config.txt: {reason}\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_monitor_takes_no_seed_flag(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

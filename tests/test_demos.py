@@ -37,3 +37,25 @@ def test_reaches_library_loops_only_through_fleet(path):
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert not names & {"train_baseline", "monitor_segments"}
+
+
+def test_only_the_text_writers_make_directories():
+    """Every output directory is made by ``ingest.write_table`` or ``write_key_values``.
+
+    Each makes its file's directory only after it has accepted every value,
+    so a refused value leaves no directory behind. The one other caller is
+    the OMP kernel's build cache.
+    """
+    makers = set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "vibdict", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for statement in tree.body:
+            owner = getattr(statement, "name", "<module>")
+            for node in ast.walk(statement):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else node.id if isinstance(node, ast.Name) else None)
+                if name in ("makedirs", "mkdir"):
+                    makers.add((os.path.basename(path), owner))
+    assert makers == {("ingest.py", "write_table"), ("ingest.py", "write_key_values"),
+                      ("omp_kernel.py", "_library")}

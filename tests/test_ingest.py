@@ -549,6 +549,21 @@ class TestTextWriters:
         assert str(exc.value) == f"cannot write {name}={value!r} to {target}: {reason}"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("write", [
+        lambda path, value: write_table(path, "a", [(value,)]),
+        lambda path, value: write_key_values(path, [("input", value)]),
+    ], ids=["table", "key-values"])
+    def test_makes_its_directory_only_for_values_it_writes(self, tmp_path, monkeypatch, write):
+        path = str(tmp_path / "new" / "sub" / "out")
+        with pytest.raises(ValueError):
+            write(path, "in\ndir")
+        assert list(tmp_path.iterdir()) == []
+        write(path, "dir")
+        assert os.listdir(tmp_path / "new" / "sub") == ["out"]
+        monkeypatch.chdir(tmp_path)  # a bare file name is written in the working directory
+        write("bare", "dir")
+        assert sorted(os.listdir(tmp_path)) == ["bare", "new"]
+
 
 def _save_indicator(path, machine):
     from vibdict.metrics import IndicatorSeries, save_indicator_csv
