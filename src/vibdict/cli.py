@@ -3,7 +3,7 @@
 Subcommands mirror the two-stage protocol plus the analysis helpers:
 
   train       learn a baseline dictionary from healthy segments
-  monitor     propagate (or freeze) a dictionary over a segment stream
+  monitor     propagate a dictionary over a segment stream (--eta 0 freezes it)
   distance    print the distance in degrees between two dictionary files
   indicators  smooth history columns and compute fleet MAD scores
   roc         sweep an indicator against ground-truth labels
@@ -145,16 +145,16 @@ def cmd_monitor(args) -> int:
         raise ConfigError("atoms must be >= 1")
     if not args.input or not args.output or not args.baseline:
         raise ConfigError("monitor requires --input, --output and --baseline")
-    if args.mode == "foreign" and not args.foreign:
-        raise ConfigError("--mode foreign requires --foreign DICT")
-    if args.mode != "foreign" and args.foreign is not None:
-        raise ConfigError(f"--foreign is read only by --mode foreign, got --mode {args.mode}")
+    if args.foreign == "":
+        raise ConfigError("--foreign must name a dictionary file")
     fleet.coder_configs(args)
     machines = _machine_dirs(args.input)
+    for machine, _ in machines:
+        fleet.monitor_dictionaries(args, machine)
     write_effective_config(args, args.output)
     tasks = [fleet.MachineTask(machine, indir, args) for machine, indir in machines]
     results = fleet.run_per_machine(fleet.monitor_one, tasks, args.jobs)
-    for (machine, _), (count, last) in zip(machines, results):
+    for (machine, _), (loaded, count, last) in zip(machines, results):
         if last is not None:
             print(
                 f"{machine}: {count} segments, "
@@ -162,7 +162,8 @@ def cmd_monitor(args) -> int:
                 f"final distance {last.distance_deg:.4f} deg"
             )
         else:
-            print(f"{machine}: 0 segments passed the gate; empty history written")
+            print(f"{machine}: {loaded} segments loaded, {count} passed the gate; "
+                  f"empty history written")
     return 0
 
 
@@ -374,9 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--baseline",
                    help="baseline dictionary file, or directory of <machine>.vdct files")
-    p.add_argument("--mode", choices=("propagate", "frozen", "foreign"), default="propagate")
     p.add_argument("--foreign", default=None,
-                   help="foreign dictionary file used for coding in foreign mode")
+                   help="dictionary to code with; distances are still measured to --baseline")
     p.add_argument("--dump-codes", dest="dump_codes", action="store_true",
                    help="export one sparse-code CSV per segment")
     p.set_defaults(func=cmd_monitor)

@@ -136,20 +136,32 @@ def maybe_grow(atom: Atom) -> Atom:
     return Atom(unit_normalize(np.concatenate(parts)), atom.id)
 
 
+def _packed(fmt: str, value: int, what: str) -> bytes:
+    try:
+        return struct.pack(fmt, value)
+    except struct.error:
+        raise ValueError(f"{what} {value!r} does not fit the u{8 * struct.calcsize(fmt)} "
+                         f"field of the dictionary format") from None
+
+
 def save_dictionary(dictionary: Dictionary, path: str) -> None:
     """Serialize a dictionary to the binary container format.
 
     Layout: magic ``VDCT``, u32 version, u32 atom count, then per atom a
     u32 id, u32 length and that many little-endian float64 samples, and a
-    trailing u64 generation counter. Round-trips are bitwise exact.
+    trailing u64 generation counter. Round-trips are bitwise exact. The
+    whole file is packed before it is opened, so a value that its field
+    cannot hold raises ValueError naming it and leaves no file.
     """
+    blob = [MAGIC, struct.pack("<I", FORMAT_VERSION),
+            _packed("<I", len(dictionary.atoms), "atom count")]
+    for atom in dictionary.atoms:
+        blob += [_packed("<I", atom.id, "atom id"),
+                 _packed("<I", len(atom), f"length of atom {atom.id}"),
+                 atom.waveform.astype("<f8").tobytes()]
+    blob.append(_packed("<Q", dictionary.generation, "generation"))
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", FORMAT_VERSION, len(dictionary.atoms)))
-        for atom in dictionary.atoms:
-            fh.write(struct.pack("<II", atom.id, len(atom)))
-            fh.write(atom.waveform.astype("<f8").tobytes())
-        fh.write(struct.pack("<Q", dictionary.generation))
+        fh.write(b"".join(blob))
 
 
 def load_dictionary(path: str) -> Dictionary:

@@ -18,7 +18,7 @@ import sys
 import typing
 import warnings
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,12 +98,23 @@ def train_one(task: MachineTask) -> tuple[float, int]:
     return float(result.fidelity_db[-1]), result.growth_events
 
 
-def _load_baseline(path: str, atoms: int):
-    base = dictionary.load_dictionary(path)
-    if len(base.atoms) != atoms:
-        raise ConfigError(f"baseline {path} has {len(base.atoms)} atoms "
-                          f"but config expects {atoms}")
-    return base
+def monitor_dictionaries(settings: argparse.Namespace,
+                         machine: str) -> tuple[dictionary.Dictionary, dictionary.Dictionary]:
+    """One machine's ``(own, live)`` dictionaries under ``vibdict monitor``'s flags.
+
+    ``own`` is ``--baseline``, or its ``<machine>.vdct`` if it is a directory;
+    ``live`` is ``--foreign`` if given, else ``own``. A dictionary whose atom
+    count is not ``--atoms`` raises ConfigError.
+    """
+    own = (os.path.join(settings.baseline, f"{machine}.vdct")
+           if os.path.isdir(settings.baseline) else settings.baseline)
+    pair = []
+    for path in (own,) if settings.foreign is None else (own, settings.foreign):
+        pair.append(dictionary.load_dictionary(path))
+        if len(pair[-1].atoms) != settings.atoms:
+            raise ConfigError(f"{path} has {len(pair[-1].atoms)} atoms "
+                              f"but --atoms is {settings.atoms}")
+    return pair[0], pair[-1]
 
 
 def monitor_machine(segments: list[ingest.SignalSegment], settings: argparse.Namespace,
@@ -114,8 +125,6 @@ def monitor_machine(segments: list[ingest.SignalSegment], settings: argparse.Nam
     and ``own`` is the distance reference. Two segments at one timestamp raise ValueError now.
     """
     coding_cfg, learn_cfg, gate = coder_configs(settings)
-    if settings.mode in ("frozen", "foreign"):
-        learn_cfg = replace(learn_cfg, eta=0.0)
     prepared = [ingest.preprocess(s) for s in ingest.gate_by_rms(segments, gate)]
     for before, after in zip(prepared, prepared[1:]):
         if before.timestamp == after.timestamp:
@@ -125,16 +134,17 @@ def monitor_machine(segments: list[ingest.SignalSegment], settings: argparse.Nam
                                      learn_cfg, baseline=own)
 
 
-def monitor_one(task: MachineTask) -> tuple[int, metrics.HistoryRecord | None]:
-    """Monitor one machine and save its outputs; return (records, last record)."""
+def monitor_one(task: MachineTask) -> tuple[int, int, metrics.HistoryRecord | None]:
+    """Monitor one machine and save its outputs; return (segments loaded, records, last record)."""
     cfg, machine = task.settings, task.machine
-    own = _load_baseline(os.path.join(cfg.baseline, f"{machine}.vdct")
-                         if os.path.isdir(cfg.baseline) else cfg.baseline, cfg.atoms)
-    live = _load_baseline(cfg.foreign, cfg.atoms) if cfg.mode == "foreign" else own
-    try:  # the raw segments are freed once monitor_machine returns
-        steps = monitor_machine(ingest.load_segments(task.indir, cfg.format), cfg, own, live)
+    own, live = monitor_dictionaries(cfg, machine)
+    segments = ingest.load_segments(task.indir, cfg.format)
+    loaded = len(segments)
+    try:
+        steps = monitor_machine(segments, cfg, own, live)
     except ValueError as exc:  # two segments at one timestamp
         raise ContentError(f"{task.indir}: {exc}") from None
+    del segments  # free the raw samples before coding
     codes_dir = os.path.join(cfg.output, f"{machine}_codes")
     final, records = live, []
     for final, record, code in steps:
@@ -143,7 +153,7 @@ def monitor_one(task: MachineTask) -> tuple[int, metrics.HistoryRecord | None]:
             coding.save_code_csv(code, os.path.join(codes_dir, f"{record.timestamp}.csv"))
     metrics.save_history_csv(records, os.path.join(cfg.output, f"{machine}_history.csv"))
     dictionary.save_dictionary(final, os.path.join(cfg.output, f"{machine}_final.vdct"))
-    return len(records), records[-1] if records else None
+    return loaded, len(records), records[-1] if records else None
 
 
 def _usable_cpus() -> int:

@@ -271,7 +271,7 @@ def write_key_values(path: str, items) -> None:
         fh.writelines(f"{key}={value}\n" for key, value in items)
 
 
-def _read_raw_segment(path: str, dtype: str) -> SignalSegment:
+def _read_raw_segment(path: str, format: str) -> SignalSegment:
     meta_path = path + ".meta"
     if not os.path.exists(meta_path):
         raise DataError(f"{path}: missing sidecar metadata file {meta_path}")
@@ -279,7 +279,12 @@ def _read_raw_segment(path: str, dtype: str) -> SignalSegment:
     timestamp, sample_rate, source_id = _segment_fields(
         meta_path, *(meta.get(key, "") for key in SEGMENT_HEADER.split(","))
     )
+    dtype = np.dtype(RAW_DTYPES[format])
     try:
+        size = os.path.getsize(path)
+        if size % dtype.itemsize:
+            raise DataError(f"{path}: {size} bytes is not a whole number of "
+                            f"{dtype.itemsize}-byte {format} samples")
         samples = np.fromfile(path, dtype=dtype)
     except OSError as exc:
         raise DataError(f"{path}: unreadable file: {exc}") from exc
@@ -316,7 +321,7 @@ def load_segments(path: str, format: str = "csv") -> list[SignalSegment]:
     loaded = []
     for fpath in files:
         seg = (_read_csv_segment(fpath) if format == "csv"
-               else _read_raw_segment(fpath, RAW_DTYPES[format]))
+               else _read_raw_segment(fpath, format))
         loaded.append((seg.timestamp, os.path.basename(fpath), seg))
     loaded.sort(key=lambda item: (item[0], item[1]))
     return [seg for _, _, seg in loaded]

@@ -310,7 +310,7 @@ def test_criterion_09_fidelity_ordering(recovery_outcome, verdict):
 def test_criterion_10_foreign_baseline_degradation(recovery_outcome, verdict):
     failures = []
     stream = _planted_stream(seed=78, segments=50)
-    frozen = _flags(f"monitor --atoms 3 --mode frozen --sparsity {RECOVERY_SPARSITY} "
+    frozen = _flags(f"monitor --atoms 3 --eta 0 --sparsity {RECOVERY_SPARSITY} "
                     f"--rms-gate 0")
     own = recovery_outcome["dictionary"]
     foreign = init_pseudorandom(num_atoms=3, core_len=50, pad=10, seed=1234)

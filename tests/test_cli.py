@@ -282,11 +282,10 @@ class TestMonitor:
         assert run(*train_args(small_fleet, out)) == 0
         return out
 
-    def monitor_args(self, indir, baseline, outdir, mode="propagate", **extra):
+    def monitor_args(self, indir, baseline, outdir, **extra):
         args = [
             "monitor", "--input", indir, "--baseline", baseline,
-            "--output", outdir, "--mode", mode,
-            "--atoms", 2, "--eta", "1e-3",
+            "--output", outdir, "--atoms", 2, "--eta", "1e-3",
         ]
         for key, value in extra.items():
             args.extend([f"--{key.replace('_', '-')}", value])
@@ -470,7 +469,7 @@ class TestMonitor:
     def test_frozen_mode_distance_zero(self, small_fleet, baseline, tmp_path):
         out = tmp_path / "mon"
         assert run(*self.monitor_args(
-            small_fleet / "m00", baseline / "m00.vdct", out, mode="frozen")) == 0
+            small_fleet / "m00", baseline / "m00.vdct", out, eta=0)) == 0
         records = load_history_csv(str(out / "m00_history.csv"))
         assert all(r.distance_deg == 0.0 for r in records)
         before = load_dictionary(str(baseline / "m00.vdct"))
@@ -482,17 +481,28 @@ class TestMonitor:
         out = tmp_path / "mon"
         code = run(*self.monitor_args(
             small_fleet / "m00", baseline / "m00.vdct", out,
-            mode="foreign", foreign=str(baseline / "m01.vdct")))
+            foreign=str(baseline / "m01.vdct"), eta=0))
         assert code == 0
         records = load_history_csv(str(out / "m00_history.csv"))
         assert all(r.distance_deg == records[0].distance_deg for r in records)
         assert records[0].distance_deg > 0.0
 
-    def test_foreign_mode_requires_foreign_flag(self, small_fleet, baseline, tmp_path, capsys):
-        code = run(*self.monitor_args(
-            small_fleet / "m00", baseline / "m00.vdct", tmp_path / "mon",
-            mode="foreign"))
-        assert code == 2
+    def test_foreign_propagates_from_foreign_dictionary(self, small_fleet, baseline, tmp_path):
+        """``--foreign F --eta > 0`` codes with F, adapts it and measures to ``--baseline``."""
+        out = tmp_path / "mon"
+        argv = self.monitor_args(small_fleet / "m00", baseline / "m00.vdct", out,
+                                 foreign=baseline / "m01.vdct")
+        assert run(*argv) == 0
+        settings = cli.build_parser().parse_args([str(a) for a in argv])
+        own = load_dictionary(str(baseline / "m00.vdct"))
+        live = load_dictionary(str(baseline / "m01.vdct"))
+        steps = list(fleet.monitor_machine(load_segments(str(small_fleet / "m00")),
+                                           settings, own=own, live=live))
+        records = [record for _, record, _ in steps]
+        assert list(load_history_csv(str(out / "m00_history.csv"))) == records
+        assert len(records) == 6 and records[-1].distance_deg != records[0].distance_deg
+        save_dictionary(steps[-1][0], str(tmp_path / "final.vdct"))
+        assert (tmp_path / "final.vdct").read_bytes() == (out / "m00_final.vdct").read_bytes()
 
     def test_empty_input_exits_success(self, baseline, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -509,7 +519,53 @@ class TestMonitor:
             "--output", str(tmp_path / "mon"), "--atoms", "5",
         ]
         assert cli.main(args) == 2
-        assert "atoms" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"config error: {baseline / 'm00.vdct'} has 2 atoms "
+                                           f"but --atoms is 5\n")
+        assert not (tmp_path / "mon").exists()
+
+    def test_foreign_atom_count_mismatch_rejected(self, small_fleet, baseline, tmp_path, capsys):
+        foreign = tmp_path / "three.vdct"
+        save_dictionary(init_pseudorandom(3, 12, 3, 11), str(foreign))
+        out = tmp_path / "mon"
+        assert run(*self.monitor_args(small_fleet, baseline, out, foreign=foreign)) == 2
+        assert capsys.readouterr().err == (f"config error: {foreign} has 3 atoms "
+                                           f"but --atoms is 2\n")
+        assert not out.exists()
+
+    def test_empty_foreign_rejected(self, small_fleet, baseline, tmp_path, capsys):
+        out = tmp_path / "mon"
+        assert run(*self.monitor_args(small_fleet, baseline, out, foreign="")) == 2
+        assert capsys.readouterr().err == "config error: --foreign must name a dictionary file\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["file", "machine-in-directory"])
+    def test_missing_baseline_writes_nothing(self, small_fleet, baseline, tmp_path, capsys,
+                                             missing):
+        if missing == "file":
+            path = tmp_path / "nonexist.vdct"
+        else:
+            (baseline / "m01.vdct").unlink()
+            path = baseline
+        out = tmp_path / "mon"
+        assert run(*self.monitor_args(small_fleet, path, out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: [Errno 2] No such file or directory")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, line", [
+        (["--format", "raw_f32le"], "m00: 0 segments loaded, 0 passed the gate; "
+                                    "empty history written"),
+        (["--rms-gate", "1e9"], "m00: 6 segments loaded, 0 passed the gate; "
+                                "empty history written"),
+    ], ids=["nothing-loaded", "all-gated"])
+    def test_empty_history_line_counts_loaded_and_passed(self, small_fleet, baseline, tmp_path,
+                                                         capsys, extra, line):
+        out = tmp_path / "mon"
+        capsys.readouterr()
+        assert run(*self.monitor_args(small_fleet / "m00", baseline / "m00.vdct", out),
+                   *extra) == 0
+        assert capsys.readouterr().out == line + "\n"
+        assert load_history_csv(str(out / "m00_history.csv")) == ()
 
     def test_dump_codes(self, small_fleet, baseline, tmp_path):
         out = tmp_path / "mon"
@@ -807,6 +863,7 @@ class TestMalformedDictionary:
         capsys.readouterr()
         assert run(*argv) == 3
         assert capsys.readouterr() == ("", f"data error: {bad}: {message}\n")
+        assert not (tmp_path / "mon").exists()
 
 
 class TestIndicatorsAndRoc:
@@ -817,8 +874,7 @@ class TestIndicatorsAndRoc:
         out = tmp_path / "mon"
         args = [
             "monitor", "--input", str(small_fleet), "--baseline", str(base),
-            "--output", str(out), "--mode", "propagate",
-            "--atoms", "2", "--eta", "1e-2",
+            "--output", str(out), "--atoms", "2", "--eta", "1e-2",
         ]
         assert cli.main(args) == 0
         return out
@@ -1054,13 +1110,13 @@ class TestConfigHandling:
         ("dump_codes = yes\n", "{config}:1: bad value for dump_codes: 'yes'"),
         ("dump_codes = 1\n", "{config}:1: bad value for dump_codes: '1'"),
         ("atoms = 2.0\n", "{config}:1: bad value for atoms: '2.0'"),
-        ("mode = Frozen\n", "mode must be one of ('propagate', 'frozen', 'foreign'), "
-                             "got 'Frozen'"),
         ("format = bin\n", "format must be one of ('csv', 'raw_f32le', 'raw_f64le'), "
                             "got 'bin'"),
         ("", "monitor requires --input, --output and --baseline"),
-    ], ids=["bool-word", "bool-digit", "int-float", "mode-choice", "format-choice",
-            "no-baseline"])
+        # A record from before --eta 0 and --foreign replaced the mode flag does not replay.
+        ("mode = frozen\n", "{config}:1: unknown config key 'mode'"),
+    ], ids=["bool-word", "bool-digit", "int-float", "format-choice", "no-baseline",
+            "old-mode-key"])
     def test_monitor_config_value_rejected(self, tmp_path, capsys, text, message):
         config = tmp_path / "run.cfg"
         config.write_text(text)
@@ -1128,7 +1184,7 @@ def replay_tree(root):
 
 TRAIN_KEYS = {"algorithm", "atoms", "block_len", "core_len", "eta", "format", "input", "output",
               "pad", "rms_gate", "seed", "sparsity", "train_blocks"}
-MONITOR_KEYS = {"algorithm", "atoms", "baseline", "dump_codes", "eta", "format", "input", "mode",
+MONITOR_KEYS = {"algorithm", "atoms", "baseline", "dump_codes", "eta", "format", "input",
                 "output", "rms_gate", "sparsity"}
 SYNTH_KEYS = {"cadence", "fault_machine", "fault_onset_segment", "format", "impulse_amp",
               "impulse_decay", "impulse_period", "machines", "output", "seed", "segment_len",
@@ -1178,27 +1234,27 @@ class TestReplay:
         assert first == second
         assert {"m00.vdct", "m01.vdct", "m00_train_log.csv"} <= set(first)
 
-    @pytest.mark.parametrize("mode, coder, extra, keys", [
-        ("propagate", [], [], set()),
-        ("frozen", [], [], set()),
-        ("foreign", [], ["--foreign", "m01.vdct"], {"foreign"}),
-        ("propagate", [], ["--dump-codes", "--jobs", 1], {"jobs"}),
-        ("propagate", ["--algo", "omp", "--format", "raw_f32le"], ["--dump-codes"], set()),
+    @pytest.mark.parametrize("eta, coder, extra, keys", [
+        ("1e-3", [], [], set()),
+        ("0", [], [], set()),
+        ("0", [], ["--foreign", "m01.vdct"], {"foreign"}),
+        ("1e-3", [], ["--dump-codes", "--jobs", 1], {"jobs"}),
+        ("1e-3", ["--algo", "omp", "--format", "raw_f32le"], ["--dump-codes"], set()),
     ], ids=["propagate", "frozen", "foreign", "dump-codes", "omp-raw-dump-codes"])
-    def test_monitor(self, request, tmp_path, mode, coder, extra, keys):
+    def test_monitor(self, request, tmp_path, eta, coder, extra, keys):
         fleet_dir = request.getfixturevalue("raw_fleet" if coder else "small_fleet")
         base = tmp_path / "base"
         assert run(*train_args(fleet_dir, base), *coder) == 0
         extra = [str(base / a) if a == "m01.vdct" else a for a in extra]
         argv = ["monitor", "--input", fleet_dir, "--baseline", base / "m00.vdct",
-                "--mode", mode, "--atoms", 2, "--eta", "1e-3", "--rms-gate", 0, *coder, *extra]
+                "--atoms", 2, "--eta", eta, "--rms-gate", 0, *coder, *extra]
         first, second = self.replay(tmp_path, argv, MONITOR_KEYS | keys)
         assert first == second
         assert {"m00_history.csv", "m01_final.vdct"} <= set(first)
         if "--dump-codes" in extra:
             assert len([name for name in first if name.startswith("m01_codes")]) == 6
         record = (tmp_path / "first" / "effective_config.txt").read_text()
-        assert f"mode={mode}\n" in record
+        assert f"eta={float(eta)!r}\n" in record
         assert f"dump_codes={'--dump-codes' in extra}\n" in record
 
 
@@ -1290,12 +1346,9 @@ class TestFlagErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("extra, message", [
-        (["--eta", "inf", "--mode", "frozen"], "eta must be finite and >= 0, got inf"),
+        (["--eta", "inf"], "eta must be finite and >= 0, got inf"),
         (["--sparsity", "-0.1"], "sparsity must be in [0, 1), got -0.1"),
         (["--config", "lasso.cfg"], "algorithm must be one of ('mp', 'omp'), got 'lasso'"),
-        # Only foreign mode reads --foreign, so the record would claim an unused setting.
-        (["--foreign", "base.vdct"], "--foreign is read only by --mode foreign, "
-                                     "got --mode propagate"),
     ])
     def test_monitor(self, small_fleet, tmp_path, monkeypatch, capsys, extra, message):
         monkeypatch.chdir(tmp_path)

@@ -196,6 +196,20 @@ class TestSerialization:
         with pytest.raises(DataError, match="version"):
             load_dictionary(str(path))
 
+    @pytest.mark.parametrize("atom_id, generation, message", [
+        (-1, 0, "atom id -1 does not fit the u32 field"),
+        (2**32, 0, "atom id 4294967296 does not fit the u32 field"),
+        (0, -1, "generation -1 does not fit the u64 field"),
+        (0, 2**64, "generation 18446744073709551616 does not fit the u64 field"),
+    ], ids=["negative-id", "id-past-u32", "negative-generation", "generation-past-u64"])
+    def test_value_outside_its_field_leaves_no_file(self, tmp_path, atom_id, generation,
+                                                    message):
+        path = tmp_path / "dict.vdct"
+        d = Dictionary((Atom([0.6, 0.8], atom_id),), generation=generation)
+        with pytest.raises(ValueError, match=message):
+            save_dictionary(d, str(path))
+        assert not path.exists()
+
 
 class TestMalformedContent:
     def test_hand_encoding_matches_save(self, tmp_path):

@@ -231,6 +231,17 @@ class TestRawRoundTrip:
                                  r"\(source m00, t=86400\)"):
             load_segments(str(path), fmt)
 
+    @pytest.mark.parametrize("fmt, width", [("raw_f32le", 4), ("raw_f64le", 8)])
+    def test_partial_trailing_sample_rejected(self, tmp_path, fmt, width):
+        path = tmp_path / "seg.bin"
+        save_segment_raw(make_segment(np.ones(32)), str(path), fmt)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(DataError) as exc:
+            load_segments(str(path), fmt)
+        assert str(exc.value) == (f"{path}: {32 * width + 1} bytes is not a whole number "
+                                  f"of {width}-byte {fmt} samples")
+
     def test_missing_meta_rejected(self, tmp_path):
         path = tmp_path / "seg.bin"
         np.zeros(4).tofile(str(path))
