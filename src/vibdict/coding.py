@@ -41,6 +41,13 @@ dependent, the new pivot collapses to round-off; if it is not positive,
 the rest of the segment falls back to a ridge-damped solve of the full
 Gram system.
 
+The numpy loop of :func:`_omp_encode` is the definition of OMP's output.
+The compiled kernel of :mod:`vibdict.omp_kernel` reaches the same picks
+and the same bytes another way: it updates the correlations from the
+Gram band of each placement whose amplitude moved, and recomputes
+exactly only the entries that could win or tie a pick (see
+``omp_kernel.c``).
+
 Only fully interior shifts are valid: an atom's support must lie entirely
 inside the segment, with no partial overlap at the edges.
 """
@@ -295,11 +302,18 @@ def omp_encode(segment: SignalSegment, dictionary: Dictionary, cfg: CodingConfig
     pick on; the rest of the segment is then solved from the full Gram
     matrix with the ridge-damped :func:`_solve_gram`.
 
-    When the compiled kernel of :mod:`vibdict.omp_kernel` has loaded, it
-    runs the factored picks first, with the same operations and BLAS
-    calls, and the numpy loop carries on from the pick where it stopped.
-    That leaves numpy nothing to do unless a pivot failed and the ridge
-    fallback takes over.
+    The numpy loop below is the definition; the compiled kernel of
+    :mod:`vibdict.omp_kernel`, when it has loaded, runs the factored
+    picks first and must leave every array as that loop would. It makes
+    the factor's operations and BLAS calls in the same order, but it
+    updates the correlations from the Gram band of each placement whose
+    amplitude moved instead of recomputing them from the residual. It
+    recomputes with ``np.correlate``'s arithmetic every entry that
+    could, within a proven rounding bound, win or tie a pick, so each
+    pick is still np.argmax's, and it makes every entry exact before it
+    hands back. The numpy loop carries on from the pick where the kernel
+    stopped, which leaves it nothing to do unless a pivot failed and the
+    ridge fallback takes over.
     """
     from . import omp_kernel  # only OMP runs load it
 

@@ -161,10 +161,15 @@ def monitor_segments(segments: Iterable[SignalSegment], dictionary: Dictionary,
     Yields ``(dictionary, record, code)`` per segment: the dictionary stepped
     from that code, and a record whose distance runs from it to ``baseline``
     (by default the starting dictionary; pass another for a foreign
-    reference). An atom that grows past a segment raises NumericError.
+    reference). A step that returns the same dictionary object, as every
+    step at ``eta = 0`` does, reuses the previous distance. An atom that
+    grows past a segment raises NumericError.
     """
     baseline = dictionary if baseline is None else baseline
+    measured = distance = None
     for segment, code, stepped in _adapt(segments, dictionary, coding_cfg, learn_cfg):
+        if stepped is not measured:
+            measured, distance = stepped, dictionary_distance(stepped, baseline)
         record = HistoryRecord(segment.timestamp, fidelity_db(segment.samples, code.residual),
-                               dictionary_distance(stepped, baseline), len(code.instances))
+                               distance, len(code.instances))
         yield stepped, record, code

@@ -2,8 +2,11 @@
 
 The kernel runs :func:`vibdict.coding.omp_encode`'s factored pick loop in
 C and calls the dot and matrix-vector products of the OpenBLAS that numpy
-itself loaded, through the same entry points with the same arguments, so
-its codes are the same bytes as those of the numpy loop.
+itself loaded, through the same entry points with the same arguments. It
+updates the correlations from the Gram band instead of the residual and
+recomputes exactly every entry that a rounding bound, widened by
+``SCREEN_SAFETY``, cannot rule out of a pick, so its codes and working
+arrays are the same bytes as those of the numpy loop.
 
 gcc builds the library on first use. It is cached under the package's
 ``__pycache__/`` (or, when that is not writable, the user cache
@@ -30,7 +33,14 @@ COMPILER = "gcc"
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # Element types of the pointer arguments of omp_fast_forward, in order.
 ARRAY_DTYPES = tuple(map(np.dtype, (np.int64,) + (np.float64,) * 6 + (np.bool_,)
-                         + (np.int64,) * 2 + (np.float64,) * 5))
+                         + (np.int64,) * 2 + (np.float64,) * 5 + (np.uint8,)))
+# The factor by which the kernel widens the rounding bound derived in
+# omp_kernel.c when it screens the correlations it updated from the Gram
+# band. At least 1e3 covers the terms the derivation drops; at 0 a near
+# tie can go the wrong way.
+SCREEN_SAFETY = 1e4
+# Entries per block of the kernel's block maxima (BLOCK in omp_kernel.c).
+BLOCK = 64
 
 _UNSET = object()
 _kernel = _UNSET
@@ -127,20 +137,23 @@ def _library(directory: str, compiler: str) -> str:
 def _bind(function, ddot: int, dgemv: int):
     """A Python callable over the C entry point, with the BLAS pointers fixed."""
     function.restype = ctypes.c_int64
-    function.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 15
+    function.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64] * 6 + [ctypes.c_double]
+                         + [ctypes.c_void_p] * 16)
 
     def run(budget, x, atoms, lengths, table, signal_corr, corr, magnitudes, dead,
             sel_row, sel_tau, linv, z, amplitudes, residual) -> int:
         """Run picks from the first; return the pick the numpy loop resumes at."""
         capacity = linv.shape[0]
-        work = np.empty(x.size + 2 * capacity)
+        blocks = -(-corr.size // BLOCK)
+        work = np.empty(x.size + 3 * capacity + blocks)
+        flags = np.empty(corr.size + x.size + blocks, dtype=np.uint8)
         arrays = (lengths, atoms, table, x, signal_corr, corr, magnitudes, dead,
-                  sel_row, sel_tau, linv, z, amplitudes, residual, work)
+                  sel_row, sel_tau, linv, z, amplitudes, residual, work, flags)
         for array, dtype in zip(arrays, ARRAY_DTYPES):
             if array.dtype != dtype or not array.flags.c_contiguous:
                 raise TypeError(f"kernel array of {array.dtype} is not contiguous {dtype}")
         return function(ddot, dgemv, corr.shape[0], x.size, corr.shape[1], atoms.shape[1],
-                        budget, capacity, *(a.ctypes.data for a in arrays))
+                        budget, capacity, SCREEN_SAFETY, *(a.ctypes.data for a in arrays))
 
     return run
 

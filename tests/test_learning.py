@@ -343,6 +343,35 @@ class TestOneAdaptationLoop:
                 np.testing.assert_array_equal(code.residual, want_code.residual, strict=True)
                 assert_same_dictionary(dictionary, want_dict)
 
+    @pytest.mark.parametrize("eta, foreign, calls", [
+        (0.0, False, 1),     # --eta 0
+        (0.0, True, 1),      # --foreign F --eta 0
+        (1e-3, False, 64),   # every step makes a new dictionary
+    ])
+    def test_distance_measured_once_per_dictionary(self, monkeypatch, tmp_path, eta, foreign,
+                                                   calls):
+        import vibdict.learning as learning
+
+        rng = np.random.default_rng(13)
+        stream = [preprocess(SignalSegment(rng.standard_normal(128), 1000.0, 100 + 10 * k, "m"))
+                  for k in range(64)]
+        own = init_pseudorandom(num_atoms=2, core_len=12, pad=3, seed=1)
+        start = init_pseudorandom(num_atoms=2, core_len=12, pad=3, seed=2) if foreign else own
+        coding_cfg, learn_cfg = CodingConfig("mp", n_instances=6), LearnConfig(eta=eta)
+        expected, _ = stepwise_oracle(stream, start, coding_cfg, learn_cfg, own)
+        counted = []
+
+        def counting_distance(a, b):
+            counted.append((a, b))
+            return dictionary_distance(a, b)
+
+        monkeypatch.setattr(learning, "dictionary_distance", counting_distance)
+        got = list(monitor_segments(stream, start, coding_cfg, learn_cfg, own))
+        assert len(counted) == calls
+        for name, steps in (("got", got), ("expected", expected)):
+            save_history_csv([record for _, record, _ in steps], str(tmp_path / f"{name}.csv"))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
 class TestHistoryCsv:
     def test_round_trip(self, tmp_path):
         records = (

@@ -38,16 +38,24 @@ def kernel():
     return loaded
 
 
-def assert_same(segment, dictionary, cfg, kernel):
-    """Code with and without the kernel; assert equal bytes and return the code."""
+def code_twice(segment, dictionary, cfg, kernel):
+    """The kernel's code and the numpy loop's, and the names of what differs."""
     fast_arrays, slow_arrays = {}, {}
     fast = coding._omp_encode(segment, dictionary, cfg, kernel, fast_arrays)
     slow = coding._omp_encode(segment, dictionary, cfg, None, slow_arrays)
-    assert [repr(i) for i in fast.instances] == [repr(i) for i in slow.instances]
-    assert fast.residual.tobytes() == slow.residual.tobytes()
-    assert fast.exhausted == slow.exhausted
-    for name, array in slow_arrays.items():
-        assert fast_arrays[name].tobytes() == array.tobytes(), name
+    differ = [name for name, array in slow_arrays.items()
+              if fast_arrays[name].tobytes() != array.tobytes()]
+    differ += ["instances"] * ([repr(i) for i in fast.instances]
+                               != [repr(i) for i in slow.instances])
+    differ += ["residual"] * (fast.residual.tobytes() != slow.residual.tobytes())
+    differ += ["exhausted"] * (fast.exhausted != slow.exhausted)
+    return fast, differ
+
+
+def assert_same(segment, dictionary, cfg, kernel):
+    """Code with and without the kernel; assert equal bytes and return the code."""
+    fast, differ = code_twice(segment, dictionary, cfg, kernel)
+    assert differ == []
     return fast
 
 
@@ -108,6 +116,19 @@ def test_matches_numpy_loop(kernel, n, shape, kind, sparsity, seed):
     assert_same(segment, dictionary, CodingConfig("omp", sparsity=sparsity), kernel)
 
 
+def numbered_case(case):
+    """Case ``case`` of a fixed series: (segment, dictionary, config)."""
+    rng = np.random.default_rng(case)
+    m = int(rng.integers(1, 5))
+    lengths = [int(rng.integers(2, 40)) for _ in range(m)]
+    ids = [int(i) for i in rng.choice(50, size=m, replace=False)]
+    kind = KINDS[case % 4]
+    segment, dictionary = random_case(rng, int(rng.integers(max(lengths), 160)), lengths, ids,
+                                      kind)
+    sparsity = 0.0 if kind == "duplicated" else SPARSITIES[case // 4 % 4]
+    return segment, dictionary, CodingConfig("omp", sparsity=sparsity)
+
+
 def test_600_cases_hand_over_to_the_ridge_fallback(handoffs):
     # Unequal lengths under shuffled ids, quantised and periodic signals,
     # and duplicated atoms, whose dependent picks end the factored loop
@@ -115,17 +136,9 @@ def test_600_cases_hand_over_to_the_ridge_fallback(handoffs):
     spy_kernel, stops, solves = handoffs
     handed_over = 0
     for case in range(600):
-        rng = np.random.default_rng(case)
-        m = int(rng.integers(1, 5))
-        lengths = [int(rng.integers(2, 40)) for _ in range(m)]
-        ids = [int(i) for i in rng.choice(50, size=m, replace=False)]
-        kind = KINDS[case % 4]
-        segment, dictionary = random_case(rng, int(rng.integers(max(lengths), 160)), lengths,
-                                          ids, kind)
-        sparsity = 0.0 if kind == "duplicated" else SPARSITIES[case // 4 % 4]
         stops.clear()
         solves.clear()
-        assert_same(segment, dictionary, CodingConfig("omp", sparsity=sparsity), spy_kernel)
+        assert_same(*numbered_case(case), spy_kernel)
         (stop, budget), = stops
         if solves:
             assert 0 < stop < budget and solves[0] == stop + 1
@@ -144,6 +157,76 @@ def test_benchmark_shapes(kernel, segment_len, atoms, seed):
     dictionary = init_pseudorandom(atoms, 50, 10, seed)
     code = assert_same(preprocess(raw), dictionary, CodingConfig("omp"), kernel)
     assert len(code.instances) == segment_len // 10 + (segment_len % 10 > 0)
+
+
+def test_long_block_runs_every_pick_in_the_kernel(handoffs):
+    # 1,280 picks of band updates on a 12,800-sample block, 8 atoms.
+    spy_kernel, stops, solves = handoffs
+    spec = synth.default_fleet_specs(2, fault_machine=1, seed=2)[1]
+    raw = synth.generate_segment(spec, 12800, np.random.default_rng(2), 0)
+    code = assert_same(preprocess(raw), init_pseudorandom(8, 50, 10, 2), CodingConfig("omp"),
+                       spy_kernel)
+    assert len(code.instances) == 1280
+    assert stops == [(1280, 1280)] and solves == []
+
+
+def test_ridge_handoff_after_band_updates(handoffs):
+    # Past 120 picks the selection spans all 120 samples, so the next
+    # pivot fails and the numpy loop takes over the ridge solves.
+    spy_kernel, stops, solves = handoffs
+    segment, dictionary = random_case(np.random.default_rng(0), 120, [24, 17, 24], [3, 8, 5],
+                                      "gaussian")
+    code = assert_same(segment, dictionary, CodingConfig("omp", n_instances=200), spy_kernel)
+    (stop, budget), = stops
+    assert 50 <= stop < budget == len(code.instances) and solves[0] == stop + 1
+
+
+def test_exhausted_after_band_updates(handoffs):
+    # An exact sum of four placements: after they are refitted, every
+    # correlation of the residual is zero and the scan finds nothing left.
+    spy_kernel, stops, solves = handoffs
+    rng = np.random.default_rng(0)
+    waveforms = [0.5 * rng.choice([-1.0, 1.0], size=16) for _ in range(2)]
+    planted = [(5, 0, 3.0), (40, 1, -2.0), (90, 0, 1.0), (150, 1, 4.0)]
+    x = np.zeros(200)
+    for tau, row, amplitude in planted:
+        x[tau : tau + 16] += amplitude * waveforms[row]
+    dictionary = Dictionary((Atom(waveforms[0], 1), Atom(waveforms[1], 2)))
+    code = assert_same(SignalSegment(x, 1000.0, 0, "m"), dictionary,
+                       CodingConfig("omp", n_instances=20), spy_kernel)
+    assert code.exhausted and not code.residual.any()
+    assert sorted((i.offset, i.atom_id - 1, i.amplitude) for i in code.instances) == planted
+    assert stops == [(4, 20)] and solves == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_reaches_the_correlations(kernel):
+    # Samples up to 1.5e308 overflow the correlations: infinities and then
+    # NaNs reach corr, and the first NaN ends the picks as np.argmax finds it.
+    segment, dictionary = random_case(np.random.default_rng(4), 200, [20, 13], [1, 2],
+                                      "gaussian")
+    x = segment.samples / np.abs(segment.samples).max() * 1.5e308
+    arrays = {}
+    code = coding._omp_encode(SignalSegment(x, 1000.0, 0, "m"), dictionary,
+                              CodingConfig("omp", n_instances=30), kernel, arrays)
+    assert code.exhausted and 0 < len(code.instances) < 30
+    assert np.isnan(arrays["corr"]).any() and np.isnan(arrays["magnitudes"]).any()
+    assert_same(SignalSegment(x, 1000.0, 0, "m"), dictionary,
+                CodingConfig("omp", n_instances=30), kernel)
+
+
+def test_screen_needs_its_margin(kernel, monkeypatch):
+    # With no margin over the rounding bound, the screen trusts a band-
+    # updated entry that reads just below a tie, and a tie-heavy case then
+    # picks another placement than np.argmax would.
+    monkeypatch.setattr(omp_kernel, "SCREEN_SAFETY", 0.0)
+    for case in range(600):
+        _, differ = code_twice(*numbered_case(case), kernel)
+        if differ:
+            break
+    assert "instances" in differ
+    monkeypatch.undo()
+    assert_same(*numbered_case(case), kernel)
 
 
 def test_budget_beyond_valid_placements(kernel):
