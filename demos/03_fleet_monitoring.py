@@ -14,10 +14,10 @@ import numpy as np
 
 from vibdict import (
     FaultSpec,
-    IndicatorSeries,
     SynthSpec,
     default_planted_atoms,
     generate_fleet,
+    history_series,
     mad_series,
     preprocess,
 )
@@ -64,11 +64,7 @@ def main():
     for machine in machines:
         records = [record for _, record, _ in monitor_machine(
             fleet[machine], MONITOR, baselines[machine])]
-        series[machine] = IndicatorSeries(
-            machine,
-            np.array([r.timestamp for r in records]),
-            np.array([r.distance_deg for r in records]),
-        )
+        series[machine] = history_series(records, "distance_deg")
 
     checkpoints = [0, 30, ONSET - 1, ONSET + 15, ONSET + 30, SEGMENTS - 1]
     print(f"\ndistance to baseline (degrees), fault onset at segment {ONSET}:")

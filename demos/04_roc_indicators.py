@@ -13,12 +13,12 @@ import numpy as np
 
 from vibdict import (
     FaultSpec,
-    IndicatorSeries,
     LabeledWindow,
     SynthSpec,
     default_planted_atoms,
     gabor_atom,
     generate_fleet,
+    history_series,
     min_diff_series,
     preprocess,
     roc_curve,
@@ -80,11 +80,7 @@ def main():
     for machine in machines:
         records = [record for _, record, _ in monitor_machine(
             fleet[machine], MONITOR, baselines[machine], starts[machine])]
-        series[machine] = IndicatorSeries(
-            machine,
-            np.array([r.timestamp for r in records]),
-            np.array([r.distance_deg for r in records]),
-        )
+        series[machine] = history_series(records, "distance_deg")
 
     for machine in machines:
         v = series[machine].values
@@ -93,7 +89,7 @@ def main():
               f"{tag.get(machine, '')}")
 
     slope = {m: slope_indicator(series[m]) for m in machines}
-    diff = min_diff_series(series.values())
+    diff = min_diff_series(series)
 
     onset_t = ONSET * CADENCE
     t0 = int(series[machines[0]].timestamps[0])

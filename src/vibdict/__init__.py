@@ -30,7 +30,8 @@ _EXPORTS = {
     "learning": ("LearnConfig", "TrainResult", "gradient_update", "monitor_segments",
                  "train_baseline"),
     "metrics": ("HistoryRecord", "IndicatorSeries", "atom_coherence", "atom_similarity_beta",
-                "dictionary_distance", "fidelity_db", "lowpass", "mad_scores", "mad_series"),
+                "dictionary_distance", "fidelity_db", "history_series", "lowpass", "mad_scores",
+                "mad_series"),
     "synth": ("FaultSpec", "SynthSpec", "default_fleet_specs", "default_planted_atoms",
               "gabor_atom", "generate_fleet", "generate_segment", "write_fleet"),
 }

@@ -202,19 +202,16 @@ def cmd_indicators(args) -> int:
         records = metrics.load_history_csv(path)
         if not records:
             raise DataError(f"{path}: empty history")
-        times = np.array([r.timestamp for r in records])
         columns = {}
         for column in ("fidelity_db", "distance_deg"):
-            raw = np.array([getattr(r, column) for r in records])
             try:
-                columns[column] = metrics.IndicatorSeries(
-                    column, times, metrics.lowpass(raw, args.time_constant)
-                )
+                raw = metrics.history_series(records, column)
             except ValueError as exc:  # timestamps that do not strictly increase
                 raise DataError(f"{path}: {exc}") from exc
+            columns[column] = replace(raw, values=metrics.lowpass(raw.values, args.time_constant))
         if first is None:
-            first = (path, times)
-        elif not np.array_equal(times, first[1]):
+            first = (path, raw.timestamps)
+        elif not np.array_equal(raw.timestamps, first[1]):
             raise DataError(f"{path}: timestamps are not aligned with {first[0]}")
         smoothed[machine] = columns
     settings = {"time_constant": args.time_constant}
@@ -250,9 +247,7 @@ def cmd_roc(args) -> int:
         if machine in series_by_machine:
             raise DataError(f"{path}: machine {machine!r} also comes from "
                             f"{series_by_machine[machine].name}; roc takes one file per machine")
-        series_by_machine[machine] = metrics.IndicatorSeries(
-            path, series.timestamps, series.values
-        )
+        series_by_machine[machine] = replace(series, name=path)
     windows = detect.load_labels_csv(args.labels)
     if args.indicator == "slope":
         try:
@@ -266,11 +261,16 @@ def cmd_roc(args) -> int:
                 raise ConfigError(f"{s.name}: {exc} (--slope-window)") from exc
     elif args.indicator == "min-diff":
         try:  # too few series, or two that are not aligned
-            by_path = detect.min_diff_series(list(series_by_machine.values()))
+            series_by_machine = detect.min_diff_series(series_by_machine)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        series_by_machine = {m: by_path[s.name] for m, s in series_by_machine.items()}
-    curve = detect.roc_curve(detect.series_samples(series_by_machine), windows)
+    samples = detect.series_samples(series_by_machine)
+    # A sample outside every window, or a class with no sample, is the
+    # labels' fault; no sample at all is the indicator files'.
+    try:
+        curve = detect.roc_curve(samples, windows)
+    except DataError as exc:
+        raise DataError(f"{args.labels}: {exc}" if samples else str(exc)) from exc
     detect.save_roc_csv(curve, args.output)
     print(f"auc={curve.auc:.6f}")
     return 0

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .defaults import DEFAULT_SLOPE_WINDOW
 from .errors import ContentError, DataError
 from .ingest import read_table, write_table
-from .metrics import IndicatorSeries
+from .metrics import IndicatorSeries, fleet_matrix
 
 HEALTHY = "healthy"
 FAULTY = "faulty"
@@ -126,29 +126,21 @@ def slope_indicator(series: IndicatorSeries, window: int = DEFAULT_SLOPE_WINDOW)
     )
 
 
-def min_diff_series(population) -> dict[str, IndicatorSeries]:
+def min_diff_series(series_by_machine: dict[str, IndicatorSeries]) -> dict[str, IndicatorSeries]:
     """Minimum gap between each machine and every other machine, per timestamp.
 
     Point t of machine m's output is min over other machines o of
     value_m[t] - value_o[t]: positive exactly when m's indicator exceeds
-    all others at t, which is the fleet-consensus fault signature. Series
-    are keyed by their ``name`` field, and all series must be aligned on
-    identical timestamps.
+    all others at t, which is the fleet-consensus fault signature. The
+    result is keyed by machine, as the input is, and all series must be
+    aligned on identical timestamps.
     """
-    series = list(population)
-    if len(series) < 2:
+    if len(series_by_machine) < 2:
         raise ValueError("need at least two machines")
-    base = series[0]
-    for s in series[1:]:
-        if not np.array_equal(s.timestamps, base.timestamps):
-            raise ValueError(f"series {s.name!r} is not aligned with {base.name!r}")
-    matrix = np.stack([s.values for s in series])
-    out = {}
-    for i, s in enumerate(series):
-        others = np.delete(matrix, i, axis=0)
-        values = np.min(matrix[i][None, :] - others, axis=0)
-        out[s.name] = IndicatorSeries(s.name, base.timestamps, values)
-    return out
+    timestamps, matrix = fleet_matrix(series_by_machine)
+    return {m: IndicatorSeries(s.name, timestamps,
+                               np.min(matrix[i] - np.delete(matrix, i, axis=0), axis=0))
+            for i, (m, s) in enumerate(series_by_machine.items())}
 
 
 def roc_curve(samples, windows) -> RocCurve:

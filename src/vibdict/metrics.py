@@ -145,22 +145,36 @@ def lowpass(values: np.ndarray, time_constant: float) -> np.ndarray:
     return y
 
 
-def mad_scores(values: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Robust outlier scores |v - median| / MAD across a fleet snapshot.
+def mad_scores(values: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
+    """Robust outlier scores |v - median| / MAD across a fleet, along axis 0.
 
-    MAD is the median absolute deviation from the median. The denominator
-    is floored at MAD_FLOOR; the returned flag is True when the floor
-    engaged (more than half the fleet identical), meaning score
-    magnitudes are saturated and comparable only by rank.
+    ``values`` is one snapshot of the fleet (1-D) or a machines x
+    timestamps matrix, whose columns are scored independently. MAD is
+    the median absolute deviation from the median. The denominator is
+    floored at MAD_FLOOR; the returned flag, one per column of a matrix,
+    is True when the floor engaged (more than half the fleet identical),
+    meaning score magnitudes are saturated and comparable only by rank.
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("values must be a nonempty 1-D array")
-    med = float(np.median(v))
+    if v.ndim not in (1, 2) or len(v) == 0:
+        raise ValueError("values must be a nonempty 1-D array or a 2-D matrix")
+    med = np.median(v, axis=0)
     dev = np.abs(v - med)
-    mad = float(np.median(dev))
-    saturated = mad < MAD_FLOOR
-    return dev / max(mad, MAD_FLOOR), saturated
+    mad = np.median(dev, axis=0)
+    return dev / np.maximum(mad, MAD_FLOOR), mad < MAD_FLOOR
+
+
+def fleet_matrix(series_by_machine: dict[str, IndicatorSeries]) -> tuple[np.ndarray, np.ndarray]:
+    """Shared timestamps and machines x timestamps values, rows in the dict's order.
+
+    A series whose timestamps differ from the first's raises ValueError naming both.
+    """
+    series = list(series_by_machine.values())
+    base = series[0]
+    for s in series[1:]:
+        if not np.array_equal(s.timestamps, base.timestamps):
+            raise ValueError(f"series {s.name!r} is not aligned with {base.name!r}")
+    return base.timestamps, np.stack([s.values for s in series])
 
 
 def mad_series(series_by_machine: dict[str, IndicatorSeries]) -> dict[str, IndicatorSeries]:
@@ -171,18 +185,11 @@ def mad_series(series_by_machine: dict[str, IndicatorSeries]) -> dict[str, Indic
     """
     if not series_by_machine:
         raise ValueError("need at least one series")
-    machines = sorted(series_by_machine)
-    base = series_by_machine[machines[0]]
-    for m in machines[1:]:
-        if not np.array_equal(series_by_machine[m].timestamps, base.timestamps):
-            raise ValueError(f"series for {m!r} is not aligned with {machines[0]!r}")
-    matrix = np.stack([series_by_machine[m].values for m in machines])
-    scores = np.empty_like(matrix)
-    for t in range(matrix.shape[1]):
-        scores[:, t], _ = mad_scores(matrix[:, t])
+    timestamps, matrix = fleet_matrix(series_by_machine)
+    scores, _ = mad_scores(matrix)
     return {
-        m: IndicatorSeries(f"mad[{base.name}]", base.timestamps, scores[i])
-        for i, m in enumerate(machines)
+        m: IndicatorSeries(f"mad[{s.name}]", timestamps, row)
+        for (m, s), row in zip(series_by_machine.items(), scores)
     }
 
 
@@ -245,6 +252,12 @@ def save_history_csv(records, path: str) -> None:
     """Write monitoring history as :data:`HISTORY_HEADER` rows, one per record."""
     rows = ((r.timestamp, r.fidelity_db, r.distance_deg, r.n_instances) for r in records)
     write_table(path, HISTORY_HEADER, rows)
+
+
+def history_series(records, column: str) -> IndicatorSeries:
+    """One column of monitoring records, such as ``distance_deg``, as a series of that name."""
+    return IndicatorSeries(column, np.array([r.timestamp for r in records]),
+                           np.array([getattr(r, column) for r in records]))
 
 
 def load_history_csv(path: str) -> tuple[HistoryRecord, ...]:

@@ -22,7 +22,6 @@ from vibdict import (
     Atom,
     CodingConfig,
     Dictionary,
-    IndicatorSeries,
     SignalSegment,
     SynthSpec,
     FaultSpec,
@@ -33,6 +32,7 @@ from vibdict import (
     fidelity_db,
     gabor_atom,
     generate_fleet,
+    history_series,
     init_pseudorandom,
     instance_budget,
     mad_series,
@@ -40,6 +40,7 @@ from vibdict import (
     preprocess,
     reconstruct,
     roc_curve,
+    series_samples,
     slope_indicator,
     unit_normalize,
 )
@@ -368,10 +369,7 @@ def _fleet_monitor_specs():
 
 def _monitor_fleet_machine(fleet, machine, start, baseline):
     records = [r for _, r, _ in monitor_machine(fleet[machine], FLEET_MONITOR, baseline, start)]
-    timestamps = np.array([r.timestamp for r in records])
-    distance = np.array([r.distance_deg for r in records])
-    fidelity = np.array([r.fidelity_db for r in records])
-    return IndicatorSeries(machine, timestamps, distance), fidelity
+    return history_series(records, "distance_deg"), history_series(records, "fidelity_db").values
 
 
 @pytest.fixture(scope="module")
@@ -451,16 +449,6 @@ def test_criterion_07_fleet_fault_detection(fleet_outcome, verdict):
     verdict(7, "fleet fault detection via distance and MAD scores", failures)
 
 
-def _roc_samples(series_map):
-    samples = []
-    for machine, series in series_map.items():
-        samples.extend(
-            (machine, int(t), float(val))
-            for t, val in zip(series.timestamps, series.values)
-        )
-    return samples
-
-
 def _check_curve(curve, name, failures):
     points = curve.points
     if points[0].threshold != math.inf or points[-1].threshold != -math.inf:
@@ -485,9 +473,9 @@ def test_criterion_08_roc_slope_beats_min_difference(fleet_outcome, verdict):
     series = fleet_outcome["series"]
     windows = fleet_outcome["windows"]
     slope = {m: slope_indicator(series[m]) for m in FLEET_MACHINES}
-    diff = min_diff_series(series.values())
-    slope_roc = roc_curve(_roc_samples(slope), windows)
-    diff_roc = roc_curve(_roc_samples(diff), windows)
+    diff = min_diff_series(series)
+    slope_roc = roc_curve(series_samples(slope), windows)
+    diff_roc = roc_curve(series_samples(diff), windows)
     if slope_roc.auc < 0.9:
         failures.append(f"slope AUC {slope_roc.auc:.4f} < 0.9")
     if not slope_roc.auc > diff_roc.auc:

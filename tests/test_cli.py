@@ -13,6 +13,14 @@ import pytest
 import vibdict.cli as cli
 import vibdict.fleet as fleet
 from vibdict.coding import CodingConfig, save_code_csv
+from vibdict.detect import (
+    load_labels_csv,
+    min_diff_series,
+    roc_curve,
+    save_roc_csv,
+    series_samples,
+    slope_indicator,
+)
 from vibdict.dictionary import (
     Atom,
     Dictionary,
@@ -878,6 +886,85 @@ class TestIndicatorsAndRoc:
         ]
         assert cli.main(args) == 0
         return out
+
+    @pytest.fixture()
+    def fleet_indicators(self, tmp_path):
+        """`indicators` output of three machines, m01 faulted from segment 3, and the labels."""
+        fleet_dir = tmp_path / "fleet"
+        assert run("synth", "--output", fleet_dir, "--machines", 3, "--segments", 6,
+                   "--segment-len", 512, "--cadence", 43200, "--fault-machine", 1,
+                   "--fault-onset-segment", 3, "--seed", 11) == 0
+        assert run(*train_args(fleet_dir, tmp_path / "base", jobs=1)) == 0
+        assert run("monitor", "--input", fleet_dir, "--baseline", tmp_path / "base",
+                   "--output", tmp_path / "mon", "--atoms", 2, "--eta", "1e-2",
+                   "--jobs", 1) == 0
+        assert run("indicators", "--history", tmp_path / "mon", "--output", tmp_path / "ind",
+                   "--time-constant", 3) == 0
+        return tmp_path / "ind", fleet_dir / "labels.csv"
+
+    def test_min_diff_scores_each_machine_of_smooth_files(self, fleet_indicators):
+        # every smooth distance file holds a series named distance_deg
+        ind, _ = fleet_indicators
+        loaded = {}
+        for path in sorted(ind.glob("*_distance_deg_smooth.csv")):
+            series, meta = load_indicator_csv(str(path))
+            assert series.name == "distance_deg"
+            loaded[meta["machine"]] = series
+        scored = min_diff_series(loaded)
+        assert list(scored) == ["m00", "m01", "m02"]
+        for machine, series in scored.items():
+            others = [s.values for m, s in loaded.items() if m != machine]
+            expected = np.min(loaded[machine].values - np.array(others), axis=0)
+            assert series.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("indicator", ["value", "slope", "min-diff"])
+    def test_roc_matches_library(self, fleet_indicators, tmp_path, indicator):
+        ind, labels = fleet_indicators
+        paths = sorted(ind.glob("*_distance_deg_smooth.csv"))
+        roc_path = tmp_path / "roc.csv"
+        assert run("roc", "--indicators", *paths, "--labels", labels, "--output", roc_path,
+                   "--indicator", indicator, "--slope-window", 3) == 0
+        loaded = {}
+        for path in paths:
+            series, meta = load_indicator_csv(str(path))
+            loaded[meta["machine"]] = series
+        if indicator == "slope":
+            loaded = {m: slope_indicator(s, 3) for m, s in loaded.items()}
+        elif indicator == "min-diff":
+            loaded = min_diff_series(loaded)
+        expected = tmp_path / "expected.csv"
+        save_roc_csv(roc_curve(series_samples(loaded), load_labels_csv(str(labels))),
+                     str(expected))
+        assert roc_path.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("m01_windows, message", [
+        ("", "sample ('m01', t=100) falls in 0 labeled windows"),
+        ("m01,0,300,faulty\n", "sample ('m01', t=300) falls in 0 labeled windows"),
+        ("m01,0,1000,healthy\n", "ROC undefined: 0 faulty and 10 healthy samples"),
+    ])
+    def test_roc_label_errors_name_labels_file(self, tmp_path, capsys, m01_windows, message):
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"machine_id,start,end,label\nm00,0,1000,healthy\n{m01_windows}")
+        paths = [tmp_path / f"{machine}.csv" for machine in ("m00", "m01")]
+        for path in paths:
+            save_indicator_csv(IndicatorSeries("v", np.arange(1, 6) * 100, np.arange(5.0)),
+                               str(path), machine=path.stem)
+        capsys.readouterr()
+        assert run("roc", "--indicators", *paths, "--labels", labels,
+                   "--output", tmp_path / "roc.csv") == 3
+        assert capsys.readouterr() == ("", f"data error: {labels}: {message}\n")
+        assert not (tmp_path / "roc.csv").exists()
+
+    def test_roc_without_samples_names_no_file(self, tmp_path, capsys):
+        # the indicator files are empty, so the labels are not at fault
+        labels = tmp_path / "labels.csv"
+        labels.write_text("machine_id,start,end,label\nm00,0,1000,healthy\n")
+        path = tmp_path / "m00.csv"
+        path.write_text("timestamp,value\n")
+        capsys.readouterr()
+        assert run("roc", "--indicators", path, "--labels", labels,
+                   "--output", tmp_path / "roc.csv") == 3
+        assert capsys.readouterr() == ("", "data error: no indicator samples to evaluate\n")
 
     def test_indicators_match_library(self, history_dir, tmp_path):
         out = tmp_path / "ind"

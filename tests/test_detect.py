@@ -131,25 +131,25 @@ class TestSlopeIndicator:
 
 class TestMinDiff:
     def test_equal_machines_zero(self):
-        pop = [series(f"m{k}", np.full(4, 2.0)) for k in range(3)]
+        pop = {f"m{k}": series(f"m{k}", np.full(4, 2.0)) for k in range(3)}
         assert np.all(min_diff_series(pop)["m1"].values == 0.0)
 
     def test_five_above_nearest(self):
-        pop = [
-            series("hot", [10.0]),
-            series("a", [5.0]),
-            series("b", [1.0]),
-        ]
+        pop = {
+            "hot": series("hot", [10.0]),
+            "a": series("a", [5.0]),
+            "b": series("b", [1.0]),
+        }
         assert min_diff_series(pop)["hot"].values[0] == 5.0
 
     def test_positive_only_when_above_all(self):
-        pop = [series("m", [3.0]), series("x", [4.0]), series("y", [1.0])]
+        pop = {"m": series("m", [3.0]), "x": series("x", [4.0]), "y": series("y", [1.0])}
         assert min_diff_series(pop)["m"].values[0] == -1.0
 
     def test_matches_bruteforce_panel(self):
         rng = np.random.default_rng(1)
         values = rng.standard_normal((6, 10))
-        pop = [series(f"m{k}", values[k]) for k in range(6)]
+        pop = {f"m{k}": series(f"m{k}", values[k]) for k in range(6)}
         by_machine = min_diff_series(pop)
         for k in range(6):
             got = by_machine[f"m{k}"]
@@ -160,15 +160,15 @@ class TestMinDiff:
 
     def test_fewer_than_two_machines_rejected(self):
         with pytest.raises(ValueError, match="two machines"):
-            min_diff_series([series("a", [1.0, 2.0])])
+            min_diff_series({"a": series("a", [1.0, 2.0])})
         with pytest.raises(ValueError, match="two machines"):
-            min_diff_series([])
+            min_diff_series({})
 
     def test_misaligned_timestamps_rejected(self):
         a = series("a", [1.0, 2.0])
         b = IndicatorSeries("b", np.array([0, 2 * DAY]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="not aligned"):
-            min_diff_series([a, b])
+            min_diff_series({"a": a, "b": b})
 
 
 def two_machine_setup(healthy_values, faulty_values, onset_index):

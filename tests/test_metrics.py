@@ -222,6 +222,25 @@ class TestMad:
         with pytest.raises(ValueError, match="aligned"):
             mad_series({"a": a, "b": b})
 
+    def test_series_equals_per_column_scores(self):
+        # values on a coarse grid tie often, and a column whose majority
+        # agrees engages the MAD floor
+        rng = np.random.default_rng(23)
+        saturated_columns = 0
+        for _ in range(100):
+            n, width = int(rng.integers(1, 13)), int(rng.integers(1, 9))
+            matrix = rng.integers(-3, 4, size=(n, width)) * 0.25
+            matrix[: n // 2 + 1, 0] = 1.5
+            fleet = {f"m{k}": IndicatorSeries("d", np.arange(width), matrix[k])
+                     for k in range(n)}
+            scored = mad_series(fleet)
+            for j in range(width):
+                expected, saturated = mad_scores(matrix[:, j])
+                saturated_columns += bool(saturated)
+                got = np.array([scored[f"m{k}"].values[j] for k in range(n)])
+                assert got.tobytes() == expected.tobytes()
+        assert saturated_columns >= 100
+
     def test_series_scores_per_timestamp(self):
         t = np.array([0, 1])
         series = {
